@@ -36,7 +36,6 @@ from .fem1d import (
     sine_load_vector,
 )
 from .fracops import (
-    FracOrder,
     PowerFunction,
     TemporalGrid,
     TemporalWeightMatrix,

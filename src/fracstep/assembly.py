@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fem1d
 from .errors import DomainError
-from .fracops import TemporalGrid
+from .fracops import TemporalGrid, check_alpha
 from .gammafn import gamma_fn
 
 SPATIAL_POWER = "power"
@@ -92,8 +92,7 @@ class ProblemSpec:
     spectral_mode: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.final_time > 0.0:
             raise DomainError("final time must be positive")
 
@@ -104,8 +103,7 @@ def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
     ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)``; the row sums of
     the temporal weight matrix telescope to the same values.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_alpha(alpha)
     powers = grid.nodes ** (1.0 - alpha)
     return np.diff(powers) / gamma_fn(2.0 - alpha)
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import assembly, fem1d, harness, solver
 from .errors import FracstepError
 from .fracops import TemporalGrid
+from .harness import format_float, is_power_of_two
 from .properties import DEFAULT_SEED, run_property_suite
 
 EXIT_OK = 0
@@ -38,10 +39,6 @@ _EXPERIMENT_ALIASES = {
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,10 +132,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _experiment_params(tag: str, args) -> dict:
     params = {}
     if tag == assembly.TAG_EXPERIMENT1:
@@ -183,20 +176,21 @@ def _run_solve(args) -> int:
         e1, e2 = spec.exact.error_norms(grid, mesh, field.values)
         errors = {"E1": e1, "E2": e2}
 
-    print(f"solved {tag}: alpha={_fmt(alpha)} nx={nx} nt={nt}")
+    print(f"solved {tag}: alpha={format_float(alpha)} nx={nx} nt={nt}")
     print(f"steps={report.steps} wall_s={report.wall_time:.3f} "
           f"max_residual={np.max(report.residual_norms):.3e} "
           f"energy_gap={report.energy_gap:.3e}")
     if errors is not None:
-        print(f"E1={_fmt(errors['E1'])} E2={_fmt(errors['E2'])}")
+        print(f"E1={format_float(errors['E1'])} E2={format_float(errors['E2'])}")
 
     x = np.concatenate([[0.0], mesh.interior_nodes, [1.0]])
     u = np.concatenate([[0.0], field.values[-1], [0.0]])
     if (args.fmt or "csv") == "csv":
         lines = ["x,u_final"]
-        lines += [f"{_fmt(xi)},{_fmt(ui)}" for xi, ui in zip(x, u)]
+        lines += [f"{format_float(xi)},{format_float(ui)}" for xi, ui in zip(x, u)]
         if errors is not None:  # diagnostics ride along as comment lines
-            lines += [f"# E1={_fmt(errors['E1'])}", f"# E2={_fmt(errors['E2'])}"]
+            lines += [f"# E1={format_float(errors['E1'])}",
+                      f"# E2={format_float(errors['E2'])}"]
         text = "\n".join(lines) + "\n"
     else:
         obj = {
@@ -222,7 +216,7 @@ def _run_sweep(args) -> int:
         _check_alpha(args.alpha)
     for name in ("nx", "nt", "ref_nx", "ref_nt"):
         value = getattr(args, name)
-        if value is not None and (value < 4 or not _is_pow2(value)):
+        if value is not None and (value < 4 or not is_power_of_two(value)):
             raise ConfigError(f"--{name.replace('_', '-')} must be a power of "
                               f"two >= 4, got {value}")
     reference = None

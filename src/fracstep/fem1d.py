@@ -67,14 +67,6 @@ class TridiagonalMatrix:
             y[1:] += self.sub * x[:-1]
         return y
 
-    def matmat_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to each row of a (m, n) array."""
-        y = rows * self.diag
-        if self.size > 1:
-            y[:, :-1] += rows[:, 1:] * self.sup
-            y[:, 1:] += rows[:, :-1] * self.sub
-        return y
-
     def quadform(self, x: np.ndarray) -> float:
         return float(x @ self.matvec(np.array(x, dtype=float)))
 

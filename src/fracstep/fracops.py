@@ -16,25 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .gammafn import gamma_fn
 
-ROLE_INTEGRAL = "integral"
-ROLE_LEFT_DERIVATIVE = "left-derivative"
-ROLE_RIGHT_DERIVATIVE = "right-derivative"
-_ROLES = (ROLE_INTEGRAL, ROLE_LEFT_DERIVATIVE, ROLE_RIGHT_DERIVATIVE)
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A fractional order in (0, 1) together with its operator role."""
-
-    gamma: float
-    role: str = ROLE_INTEGRAL
-
-    def __post_init__(self):
-        if self.role not in _ROLES:
-            raise DomainError(f"unknown operator role {self.role!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"fractional order must lie in (0, 1), got {self.gamma}")
-
 
 @dataclass(frozen=True)
 class PowerFunction:
@@ -97,6 +78,14 @@ class TemporalGrid:
     def is_uniform(self, rtol: float = 1e-12) -> bool:
         tau = self.tau
         return bool(np.all(np.abs(tau - tau[0]) <= rtol * tau[0]))
+
+
+def check_alpha(alpha: float) -> float:
+    """The order of the time derivative as a float; raises unless 0 < alpha < 1."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
 def _ensure_order(gamma: float, lo=0.0, hi=1.0, what="order") -> float:
@@ -215,21 +204,19 @@ class TemporalWeightMatrix:
     def num_steps(self) -> int:
         return self.grid.num_steps
 
-    @property
-    def is_toeplitz(self) -> bool:
-        return self._kernel is not None
+    def row(self, k: int) -> np.ndarray:
+        """Entries ``G[k, 0..k]`` of row ``k``, a view of the stored weights."""
+        if self._kernel is not None:
+            return self._kernel[k::-1]
+        return self._dense[k, :k + 1]
 
     def diagonal(self, k: int) -> float:
-        if self._kernel is not None:
-            return float(self._kernel[0])
-        return float(self._dense[k, k])
+        return float(self.row(k)[k])
 
     def entry(self, k: int, j: int) -> float:
         if j > k:
             return 0.0
-        if self._kernel is not None:
-            return float(self._kernel[k - j])
-        return float(self._dense[k, j])
+        return float(self.row(k)[j])
 
     def row_sum(self, k: int) -> float:
         """Closed-form telescoped row sum ``(t_{k+1}^{1-a} - t_k^{1-a})/Gamma(2-a)``."""
@@ -239,20 +226,14 @@ class TemporalWeightMatrix:
 
     def history_dot(self, values: np.ndarray, k: int) -> np.ndarray:
         """``sum_{j<k} G[k, j] * values[j]`` along the leading axis."""
-        if k == 0:
-            return np.zeros(values.shape[1:], dtype=float)
-        if self._kernel is not None:
-            return self._kernel[k:0:-1] @ values[:k]
-        return self._dense[k, :k] @ values[:k]
+        return self.row(k)[:k] @ values[:k]
 
     def dense(self) -> np.ndarray:
         """Materialize the full lower-triangular matrix (small J only)."""
-        if self._dense is not None:
-            return self._dense.copy()
         J = self.num_steps
         out = np.zeros((J, J))
         for k in range(J):
-            out[k, :k + 1] = self._kernel[k::-1]
+            out[k, :k + 1] = self.row(k)
         return out
 
 
@@ -263,7 +244,7 @@ def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     stored as its Toeplitz kernel; otherwise the full lower triangle is built
     from the four-corner formula.
     """
-    alpha = _ensure_order(alpha, 0.0, 1.0, "alpha")
+    alpha = check_alpha(alpha)
     mu = 1.0 - alpha
     norm = gamma_fn(2.0 - alpha)
     if grid.is_uniform():
@@ -337,18 +318,6 @@ def fractional_seminorm_pwc(grid: TemporalGrid, values, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # pointwise evaluators for piecewise constants (test/oracle support)
 # ---------------------------------------------------------------------------
-
-def pwc_left_derivative(grid: TemporalGrid, values, gamma: float, t) -> np.ndarray:
-    """Pointwise left fractional derivative of a piecewise constant."""
-    gamma = _ensure_order(gamma, 0.0, 1.0, "derivative order")
-    values = np.asarray(values, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lo = grid.nodes[:-1]
-    hi = grid.nodes[1:]
-    terms = (_plus_power(t[..., None] - lo, -gamma)
-             - _plus_power(t[..., None] - hi, -gamma))
-    return terms @ values / gamma_fn(1.0 - gamma)
-
 
 def pwc_left_integral(grid: TemporalGrid, values, gamma: float, t) -> np.ndarray:
     """Pointwise left fractional integral of a piecewise constant."""

@@ -1,67 +1,20 @@
-"""Gamma function via a Lanczos approximation.
+"""Gamma function for the package's closed forms, from the standard library.
 
 All closed-form fractional-calculus kernels in this package express their
-constants through ``gamma_fn``.  The quadrature oracle deliberately does not
-use this module, so a defect here is caught by the closed-form-vs-quadrature
-property checks instead of cancelling out.
+constants through ``gamma_fn``, which is ``math.gamma`` (CPython's own
+Lanczos evaluation in C).  The quadrature oracle never calls it: the
+oracle's gamma constants come from ``scipy.special.gamma`` (Cephes), a
+separate implementation, so a defect in either gamma shows up as a
+closed-form-vs-quadrature mismatch in the property suite instead of
+cancelling out.
 """
 
 import math
-from contextlib import contextmanager
-
-# Lanczos coefficients for g = 7, 9 terms: relative accuracy is a little
-# better than 1e-14 on the positive real axis, comfortably above the
-# 13-significant-digit requirement on (0, 10].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Test hook: relative perturbation applied to the Lanczos series sum.  Used
-# by the property-suite mutation check to confirm that a corrupted gamma
-# evaluation is actually detected; must stay 0.0 in production.
-_tamper = 0.0
 
 
 def gamma_fn(x: float) -> float:
     """Evaluate the gamma function at a real argument.
 
-    Poles at 0, -1, -2, ... raise ``ValueError``; negative non-integer
-    arguments go through the reflection formula.
+    Poles at 0, -1, -2, ... raise ``ValueError``.
     """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at non-positive integer x={x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series on arguments >= 0.5
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    acc *= 1.0 + _tamper
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-@contextmanager
-def tampered_gamma(delta: float):
-    """Temporarily corrupt the gamma evaluation (test hook).
-
-    Every closed form routed through :func:`gamma_fn` picks up a relative
-    error of roughly ``delta`` while the context is active.
-    """
-    global _tamper
-    _tamper = float(delta)
-    try:
-        yield
-    finally:
-        _tamper = 0.0
+    return math.gamma(x)

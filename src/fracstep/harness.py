@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assembly, fem1d, solver
 from .errors import BudgetError, DomainError, NestingError
-from .fracops import TemporalGrid
+from .fracops import TemporalGrid, check_alpha
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
@@ -28,7 +28,9 @@ ERROR_VS_REFERENCE = "reference"
 ERROR_VS_EXACT = "exact"
 
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
-_CACHE_FORMAT = "1"
+# Part of every reference-cache key.  Change it whenever the solver's results
+# change, so that entries written by earlier numerics are never served.
+_CACHE_FORMAT = "2"
 
 DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 
@@ -110,7 +112,7 @@ class SweepPlan:
                     raise NestingError(
                         f"level ({nx}, {nt}) is not nested in the reference "
                         f"({ref_nx}, {ref_nt})")
-                if not _is_power_of_two(ref_nx // nx) or not _is_power_of_two(ref_nt // nt):
+                if not is_power_of_two(ref_nx // nx) or not is_power_of_two(ref_nt // nt):
                     raise NestingError("reference refinement ratios must be dyadic")
             # levels identical to the reference are permitted (self-comparison
             # sanity, zero error by construction); all others must be strictly
@@ -130,7 +132,7 @@ class SweepPlan:
         yield from self.levels
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -145,8 +147,9 @@ class ConvergenceTable:
         lines = ["h,tau,E1,order1,E2,order2"]
         for row in self.rows:
             lines.append(",".join([
-                _fmt(row["h"]), _fmt(row["tau"]), _fmt(row["E1"]),
-                _fmt(row["order1"]), _fmt(row["E2"]), _fmt(row["order2"])]))
+                format_float(row["h"]), format_float(row["tau"]), format_float(row["E1"]),
+                format_float(row["order1"]), format_float(row["E2"]),
+                format_float(row["order2"])]))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
@@ -160,8 +163,8 @@ class ConvergenceTable:
         return orders[-1]
 
 
-def _fmt(x) -> str:
-    # 17 significant digits round-trips 64-bit floats exactly
+def format_float(x) -> str:
+    """17 significant digits, which round-trip a 64-bit float; "" for None."""
     return "" if x is None else f"{x:.17g}"
 
 
@@ -184,8 +187,7 @@ def expected_orders(alpha: float, beta: float, case: str) -> dict:
     for alpha > 1/2 only).  Returns ``{"E1": (h_order, tau_order), "E2":
     (h_order, tau_order)}``; combinations outside the covered regimes raise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if case == "smooth-source":
         if not alpha > 0.5:
             raise DomainError("smooth-source rates need alpha > 1/2")
@@ -248,8 +250,8 @@ def cache_directory(explicit: str | None = None) -> str | None:
 
 
 def _cache_meta_text(meta: dict) -> str:
-    lines = [f"{key}={_fmt(meta[key]) if isinstance(meta[key], float) else meta[key]}"
-             for key in sorted(meta)]
+    lines = [f"{key}={format_float(value) if isinstance(value, float) else value}"
+             for key, value in sorted(meta.items())]
     return "\n".join(lines) + "\n"
 
 

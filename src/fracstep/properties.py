@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.special import gamma as scipy_gamma
 
 from . import assembly, fem1d, fracops, solver
 from .fracops import PowerFunction, TemporalGrid
 from .gammafn import gamma_fn
-from .quadrature import singular_integral
+from .quadrature import fixed_order_integral, singular_integral
 
 DEFAULT_SEED = 12345
 
@@ -110,8 +111,6 @@ def prop_duality(rng, draws=100) -> PropertyResult:
 def _pairing_by_quadrature(grid, values, gamma) -> float:
     """Left/right derivative pairing integrated by the oracle, term by term."""
     nodes = grid.nodes
-    norm = 1.0  # the kernel gamma factors are supplied by scipy inside the sum
-    from scipy.special import gamma as scipy_gamma
     norm = scipy_gamma(1.0 - gamma) ** 2
     total = 0.0
     J = grid.num_steps
@@ -166,7 +165,6 @@ def _pwc_integral_norm_sq(grid, values, gamma) -> float:
     floor = 1e-13 * float(np.max(np.abs(values))) ** 2 * grid.final_time
     for l in range(grid.num_steps):
         a, b = nodes[l], nodes[l + 1]
-        from scipy.special import gamma as scipy_gamma
         c_l = (values[l] - previous) / scipy_gamma(1.0 + gamma)
         previous = values[l]
 
@@ -228,7 +226,6 @@ def _numeric_derivative(func, t, rel_step=0.005) -> float:
 
 def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
     """Integral, derivative and weight closed forms match the oracle."""
-    from scipy.special import gamma as scipy_gamma
     worst = 0.0
     for i in range(draws):
         gamma = rng.uniform(0.05, 0.95)
@@ -247,7 +244,6 @@ def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
         dt = rng.uniform(0.5, 2.0)
 
         def lifted(s, dsigma=dsigma, dgamma=dgamma):
-            from .quadrature import fixed_order_integral
             return fixed_order_integral(0.0, s, p=dsigma, q=-dgamma,
                                         order=200) / scipy_gamma(1.0 - dgamma)
 

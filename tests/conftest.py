@@ -1,6 +1,9 @@
 import os
+from contextlib import contextmanager
 
 import pytest
+
+from fracstep import fracops
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,3 +17,21 @@ def isolated_reference_cache(tmp_path_factory):
         os.environ.pop("FRACSTEP_CACHE_DIR", None)
     else:
         os.environ["FRACSTEP_CACHE_DIR"] = old
+
+
+@pytest.fixture
+def tampered_gamma():
+    """Context manager corrupting the closed forms' gamma by a relative ``delta``.
+
+    Only the gamma that :mod:`fracstep.fracops` calls is replaced, so the
+    quadrature oracle keeps its own constants and the property suite can
+    detect the corruption.
+    """
+    @contextmanager
+    def tamper(delta):
+        clean = fracops.gamma_fn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fracops, "gamma_fn", lambda x: clean(x) * (1.0 + delta))
+            yield
+
+    return tamper

@@ -1,7 +1,6 @@
 import json
 
 from fracstep.cli import main
-from fracstep.gammafn import tampered_gamma
 
 
 def run_cli(capsys, *argv):
@@ -159,7 +158,7 @@ class TestVerify:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
-    def test_property_failure_exits_four(self, capsys):
+    def test_property_failure_exits_four(self, capsys, tampered_gamma):
         with tampered_gamma(1e-4):
             code, out, _ = run_cli(capsys, "verify", "--seed", "3")
         assert code == 4

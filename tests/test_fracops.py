@@ -5,7 +5,6 @@ import pytest
 
 from fracstep.errors import DomainError
 from fracstep.fracops import (
-    FracOrder,
     PowerFunction,
     TemporalGrid,
     derivative_pairing_matrix,
@@ -31,15 +30,6 @@ PAIRING_UNIT_QUARTER = 1.1283791670955126
 
 
 class TestTypes:
-    def test_frac_order_validation(self):
-        FracOrder(0.5)
-        with pytest.raises(DomainError):
-            FracOrder(0.0)
-        with pytest.raises(DomainError):
-            FracOrder(1.0)
-        with pytest.raises(DomainError):
-            FracOrder(0.5, role="sideways")
-
     def test_power_function_validation(self):
         with pytest.raises(DomainError):
             PowerFunction(1.0, -1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fracstep.gammafn import gamma_fn, tampered_gamma
+from fracstep.gammafn import gamma_fn
 
 
 def test_exact_values():
@@ -38,10 +38,3 @@ def test_recurrence_property():
     rng = np.random.default_rng(42)
     for x in rng.uniform(0.1, 9.0, size=50):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-13)
-
-
-def test_tamper_hook_perturbs_and_restores():
-    clean = gamma_fn(0.7)
-    with tampered_gamma(1e-4):
-        assert abs(gamma_fn(0.7) - clean) / clean > 1e-6
-    assert gamma_fn(0.7) == clean

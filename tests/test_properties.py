@@ -1,4 +1,3 @@
-from fracstep.gammafn import tampered_gamma
 from fracstep.properties import run_property_suite
 
 
@@ -15,7 +14,7 @@ def test_suite_is_seed_deterministic():
         [(r.name, r.passed, r.detail) for r in second]
 
 
-def test_tampered_gamma_is_detected():
+def test_tampered_gamma_is_detected(tampered_gamma):
     # corrupting the gamma constant must break the oracle cross-checks; the
     # coercivity pairing consults the quadrature oracle, which does not use
     # the package gamma, so the corruption cannot cancel out
@@ -23,6 +22,6 @@ def test_tampered_gamma_is_detected():
         results = {r.name: r for r in run_property_suite(seed=3)}
     assert not results["coercivity-pairing"].passed
     assert not results["closed-forms-vs-oracle"].passed
-    # and the suite recovers once the hook is released
+    # and the suite recovers once the corruption is removed
     clean = {r.name: r for r in run_property_suite(seed=3)}
     assert clean["coercivity-pairing"].passed

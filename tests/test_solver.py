@@ -28,7 +28,6 @@ class TestSolve:
         mesh = fem1d.Mesh1D(64)
         field, report = solver.solve(experiment1_spec(0.3), grid, mesh)
         assert np.max(report.residual_norms) <= 1e-12
-        assert report.history_flops == sum(2 * k * 63 for k in range(64))
 
     def test_grid_horizon_mismatch_rejected(self):
         grid = TemporalGrid.uniform(8, 2.0)
