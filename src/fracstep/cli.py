@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracstep",
         description="Space-time Galerkin solver for time-fractional diffusion")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value file with flag defaults")
@@ -61,10 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="output format (default csv)")
 
-    psolve = sub.add_parser("solve", help="single solve with diagnostics")
+    psolve = commands.add_parser("solve", help="single solve with diagnostics")
     add_common(psolve)
 
-    psweep = sub.add_parser("sweep", help="refinement sweep and table")
+    psweep = commands.add_parser("sweep", help="refinement sweep and table")
     add_common(psweep)
     psweep.add_argument("--axis", choices=("space", "time"),
                         help="refined axis (default space)")
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="reference cache directory "
                              "(default $FRACSTEP_CACHE_DIR)")
 
-    pverify = sub.add_parser("verify", help="run the property suite")
+    pverify = commands.add_parser("verify", help="run the property suite")
     pverify.add_argument("--config", help="flat key=value file with flag defaults")
     pverify.add_argument("--seed", type=int, help="property-suite seed")
     return parser

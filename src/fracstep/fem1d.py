@@ -2,15 +2,17 @@
 
 Interior-node unknowns only: for ``n`` cells the unknown vector has
 ``n - 1`` entries at ``x_i = i h``.  Mass and stiffness matrices are
-tridiagonal; load vectors for power-law and sine data are assembled from
-closed-form antiderivatives, never from pointwise sampling (the experiments'
-data blow up at ``x = 0``).
+symmetric tridiagonal, stored by their two bands and factored and solved
+with LAPACK's ``dpttrf``/``dpttrs``; load vectors for power-law and sine
+data are assembled from closed-form antiderivatives, never from pointwise
+sampling (the experiments' data blow up at ``x = 0``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, NestingError, SolverError
 
@@ -45,16 +47,14 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix stored as (sub, diag, super) bands."""
+    """Symmetric tridiagonal matrix stored as its (diag, off) bands."""
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
 
     def __post_init__(self):
-        n = len(self.diag)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise DomainError("band lengths must be n-1, n, n-1")
+        if len(self.off) != len(self.diag) - 1:
+            raise DomainError("band lengths must be n, n-1")
 
     @property
     def size(self) -> int:
@@ -62,9 +62,8 @@ class TridiagonalMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        if self.size > 1:
-            y[:-1] += self.sup * x[1:]
-            y[1:] += self.sub * x[:-1]
+        y[:-1] += self.off * x[1:]
+        y[1:] += self.off * x[:-1]
         return y
 
     def quadform(self, x: np.ndarray) -> float:
@@ -73,61 +72,42 @@ class TridiagonalMatrix:
     def quadform_rows(self, rows: np.ndarray) -> np.ndarray:
         """x^T A x for each row x of a (m, n) array."""
         out = np.einsum("ij,ij->i", rows, rows * self.diag)
-        if self.size > 1:
-            out += 2.0 * np.einsum("ij,ij->i", rows[:, :-1], rows[:, 1:] * self.sup)
+        out += 2.0 * np.einsum("ij,ij->i", rows[:, :-1], rows[:, 1:] * self.off)
         return out
 
     def factor(self) -> "ThomasFactor":
         return ThomasFactor.from_matrix(self)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.factor().solve(rhs)
-
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.size > 1:
-            a += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return a
+        return np.diag(self.diag) + np.diag(self.off, -1) + np.diag(self.off, 1)
 
 
 @dataclass(frozen=True)
 class ThomasFactor:
-    """Reusable forward-elimination coefficients of a tridiagonal matrix.
+    """LAPACK ``L D L^T`` factors of a positive definite tridiagonal matrix.
 
-    The same matrix is solved once per time step, so the elimination
-    multipliers are computed once and only the substitution sweeps run per
-    right-hand side.
+    ``dpttrf`` runs once per step matrix and ``dpttrs`` once per right-hand
+    side.  ``d`` holds D and ``e`` the subdiagonal of the unit bidiagonal L.
+    The name is kept because ``benchmarks/tracing.py`` traces its ``solve``.
     """
 
-    sub: np.ndarray
-    sup: np.ndarray
-    pivots: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
 
     @classmethod
     def from_matrix(cls, tri: TridiagonalMatrix) -> "ThomasFactor":
-        n = tri.size
-        pivots = np.empty(n)
-        pivots[0] = tri.diag[0]
-        if pivots[0] == 0.0:
-            raise SolverError("zero pivot in tridiagonal elimination")
-        for i in range(1, n):
-            pivots[i] = tri.diag[i] - tri.sub[i - 1] * tri.sup[i - 1] / pivots[i - 1]
-            if pivots[i] == 0.0:
-                raise SolverError("zero pivot in tridiagonal elimination")
-        return cls(np.array(tri.sub, dtype=float), np.array(tri.sup, dtype=float),
-                   pivots)
+        # the wrapper rejects an empty off-diagonal, so n = 1 gets a dummy one
+        off = tri.off if tri.size > 1 else np.zeros(1)
+        d, e, info = lapack.dpttrf(tri.diag, off)
+        if info != 0:
+            raise SolverError("tridiagonal matrix is not positive definite")
+        return cls(d, e)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = len(self.pivots)
-        y = np.empty(n)
-        y[0] = rhs[0]
-        sub, sup, piv = self.sub, self.sup, self.pivots
-        for i in range(1, n):
-            y[i] = rhs[i] - sub[i - 1] / piv[i - 1] * y[i - 1]
-        x = np.empty(n)
-        x[n - 1] = y[n - 1] / piv[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - sup[i] * x[i + 1]) / piv[i]
+        # dpttrs would return a longer rhs with its tail untouched
+        if np.shape(rhs) != self.d.shape:
+            raise DomainError(f"right-hand side shape {np.shape(rhs)} != {self.d.shape}")
+        x, _ = lapack.dpttrs(self.d, self.e, rhs)
         return x
 
 
@@ -135,16 +115,14 @@ def assemble_mass(mesh: Mesh1D) -> TridiagonalMatrix:
     """Mass matrix ``h/6 tridiag(1, 4, 1)`` on interior nodes."""
     n = mesh.n_interior
     h = mesh.h
-    return TridiagonalMatrix(np.full(n - 1, h / 6.0), np.full(n, 2.0 * h / 3.0),
-                             np.full(n - 1, h / 6.0))
+    return TridiagonalMatrix(np.full(n, 2.0 * h / 3.0), np.full(n - 1, h / 6.0))
 
 
 def assemble_stiffness(mesh: Mesh1D) -> TridiagonalMatrix:
     """Stiffness matrix ``1/h tridiag(-1, 2, -1)`` on interior nodes."""
     n = mesh.n_interior
     h = mesh.h
-    return TridiagonalMatrix(np.full(n - 1, -1.0 / h), np.full(n, 2.0 / h),
-                             np.full(n - 1, -1.0 / h))
+    return TridiagonalMatrix(np.full(n, 2.0 / h), np.full(n - 1, -1.0 / h))
 
 
 def power_load_vector(mesh: Mesh1D, r: float) -> np.ndarray:

@@ -30,7 +30,7 @@ ERROR_VS_EXACT = "exact"
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # change, so that entries written by earlier numerics are never served.
-_CACHE_FORMAT = "2"
+_CACHE_FORMAT = "3"
 
 DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 

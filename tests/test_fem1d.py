@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracstep.errors import DomainError, NestingError
+from fracstep.errors import DomainError, NestingError, SolverError
 from fracstep.fem1d import (
     Mesh1D,
     SpatialField,
@@ -97,13 +97,23 @@ class TestThomas:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 7, 40):
-            sub = rng.uniform(-1.0, 1.0, size=n - 1)
             diag = rng.uniform(4.0, 6.0, size=n)  # diagonally dominant
-            sup = rng.uniform(-1.0, 1.0, size=n - 1)
-            tri = TridiagonalMatrix(sub, diag, sup)
+            off = rng.uniform(-1.0, 1.0, size=n - 1)
+            tri = TridiagonalMatrix(diag, off)
             rhs = rng.uniform(-1.0, 1.0, size=n)
             expected = np.linalg.solve(tri.to_dense(), rhs)
-            assert np.allclose(tri.solve(rhs), expected, rtol=1e-12, atol=1e-14)
+            assert np.allclose(tri.factor().solve(rhs), expected,
+                               rtol=1e-12, atol=1e-14)
+
+    def test_wrong_length_rhs_rejected(self):
+        factor = TridiagonalMatrix(np.full(3, 4.0), np.ones(2)).factor()
+        for n in (2, 4):
+            with pytest.raises(DomainError):
+                factor.solve(np.ones(n))
+
+    def test_indefinite_matrix_rejected(self):
+        with pytest.raises(SolverError):
+            TridiagonalMatrix(np.array([1.0, -1.0]), np.array([0.5])).factor()
 
     def test_quadform_rows_matches_loop(self):
         rng = np.random.default_rng(2)

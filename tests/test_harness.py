@@ -246,9 +246,10 @@ class TestCache:
         assert first.rows[0]["E1"] == second.rows[0]["E1"]
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
 
-    def test_entry_from_older_numerics_not_served(self, tmp_path):
-        # the entry format "1" wrote for this plan's reference, filled with junk
-        old_meta = {"format": "1", "experiment": "manufactured", "alpha": 0.8,
+    @pytest.mark.parametrize("old_format", ["1", "2"])
+    def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
+        # the entry an older format wrote for this plan's reference, filled with junk
+        old_meta = {"format": old_format, "experiment": "manufactured", "alpha": 0.8,
                     "T": 1.0, "n_cells": "64", "num_steps": "32"}
         store_reference(str(tmp_path / "old"), old_meta, np.full((32, 63), 1e3))
         plan = SweepPlan(experiment="manufactured", alpha=0.8, axis="space",

@@ -1,3 +1,5 @@
+import pytest
+
 from fracstep.properties import run_property_suite
 
 
@@ -25,3 +27,10 @@ def test_tampered_gamma_is_detected(tampered_gamma):
     # and the suite recovers once the corruption is removed
     clean = {r.name: r for r in run_property_suite(seed=3)}
     assert clean["coercivity-pairing"].passed
+
+
+@pytest.mark.parametrize("seed", [36, 76, 120])
+def test_suite_passes_seeds_with_cancelling_duality_draws(seed):
+    # seeds whose random polynomial pairings once cancelled to near zero
+    failed = [r.name for r in run_property_suite(seed) if not r.passed]
+    assert not failed, f"failed properties: {failed}"
