@@ -60,7 +60,6 @@ from .solver import (
     SolveReport,
     SpaceTimeField,
     energy_identity_gap,
-    history_sum,
     scalar_solve,
     solve,
 )

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import assembly, fem1d, harness, solver
-from .errors import FracstepError
+from .errors import BudgetError, FracstepError
 from .fracops import TemporalGrid
 from .harness import format_float, is_power_of_two
 from .properties import DEFAULT_SEED, run_property_suite
@@ -162,6 +162,9 @@ def _run_solve(args) -> int:
     nt = _require(args, "nt")
     if nx < 2 or nt < 1:
         raise ConfigError("need nx >= 2 and nt >= 1")
+    if nx * nt > harness.DEFAULT_BUDGET:
+        raise BudgetError(f"solve ({nx} cells, {nt} steps) exceeds the budget of "
+                          f"{harness.DEFAULT_BUDGET} space-time unknowns")
     mesh = fem1d.Mesh1D(nx)
     grid = TemporalGrid.uniform(nt, 1.0)
     if tag == assembly.TAG_SPECTRAL:

@@ -224,9 +224,24 @@ class TemporalWeightMatrix:
         nodes = self.grid.nodes
         return (nodes[k + 1] ** mu - nodes[k] ** mu) / gamma_fn(2.0 - self.alpha)
 
-    def history_dot(self, values: np.ndarray, k: int) -> np.ndarray:
-        """``sum_{j<k} G[k, j] * values[j]`` along the leading axis."""
-        return self.row(k)[:k] @ values[:k]
+    def history_dot(self, values: np.ndarray, k: int, start: int = 0) -> np.ndarray:
+        """``sum_{start<=j<k} G[k, j] * values[j]`` along the leading axis."""
+        return self.row(k)[start:k] @ values[start:k]
+
+    def history_block(self, values: np.ndarray, lo: int, mid: int,
+                      hi: int) -> np.ndarray:
+        """Rows ``k`` in ``[mid, hi)`` of ``sum_{lo<=j<mid} G[k, j] * values[j]``.
+
+        On a uniform grid this is a Toeplitz product, evaluated as a circular
+        real FFT convolution of length ``n = hi - lo`` along time.  Every lag
+        ``k - j`` lies in ``1..n-1``, so no term wraps around.
+        """
+        if self._kernel is None:
+            return self._dense[mid:hi, lo:mid] @ values[lo:mid]
+        n = hi - lo
+        spectrum = (np.fft.rfft(self._kernel[:n])[:, None]
+                    * np.fft.rfft(values[lo:mid], n=n, axis=0))
+        return np.fft.irfft(spectrum, n=n, axis=0)[mid - lo:]
 
     def dense(self) -> np.ndarray:
         """Materialize the full lower-triangular matrix (small J only)."""

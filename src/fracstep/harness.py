@@ -30,7 +30,7 @@ ERROR_VS_EXACT = "exact"
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # change, so that entries written by earlier numerics are never served.
-_CACHE_FORMAT = "3"
+_CACHE_FORMAT = "4"
 
 DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 
@@ -285,13 +285,25 @@ def load_cached_reference(cache_dir: str, meta: dict,
     return data.reshape(shape)
 
 
+def _write_by_rename(path: str, write) -> None:
+    """Let ``write(fh)`` fill a temporary file beside ``path``, then rename it."""
+    tmp_path = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp_path, "xb") as fh:
+            write(fh)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+
+
 def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
+    """Write one cache entry; the sidecar lands last, so a torn entry is a miss."""
     os.makedirs(cache_dir, exist_ok=True)
     meta_text = _cache_meta_text(meta)
     bin_path, meta_path = _cache_paths(cache_dir, meta_text)
-    values.astype("<f8").tofile(bin_path)
-    with open(meta_path, "w") as fh:
-        fh.write(meta_text)
+    _write_by_rename(bin_path, values.astype("<f8").tofile)
+    _write_by_rename(meta_path, lambda fh: fh.write(meta_text.encode()))
 
 
 # ---------------------------------------------------------------------------

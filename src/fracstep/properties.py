@@ -40,8 +40,8 @@ def _result(name, err, tol, extra=""):
     return PropertyResult(name, err <= tol, note)
 
 
-def _random_grid(rng, max_intervals=8, uniform=False) -> TemporalGrid:
-    J = int(rng.integers(3, max_intervals + 1))
+def _random_grid(rng, max_intervals=8, uniform=False, min_intervals=3) -> TemporalGrid:
+    J = int(rng.integers(min_intervals, max_intervals + 1))
     if uniform:
         return TemporalGrid.uniform(J, 1.0)
     steps = rng.uniform(0.2, 1.0, size=J)
@@ -446,6 +446,41 @@ def prop_block_equivalence(rng) -> PropertyResult:
     return _result("block-system-equivalence", worst, SOLVER_TOL)
 
 
+def _naive_march(grid, mesh, alpha, loads) -> np.ndarray:
+    """Oracle: march with the full history sum and dense step solves."""
+    weights = fracops.temporal_weights(grid, alpha).dense()
+    mass = fem1d.assemble_mass(mesh).to_dense()
+    stiffness = fem1d.assemble_stiffness(mesh).to_dense()
+    values = np.zeros_like(loads)
+    for k in range(grid.num_steps):
+        rhs = loads[k] - mass @ (weights[k, :k] @ values[:k])
+        values[k] = np.linalg.solve(weights[k, k] * mass + grid.tau[k] * stiffness, rhs)
+    return values
+
+
+def prop_fast_history(rng) -> PropertyResult:
+    """The solver's batched history products agree with the naive march.
+
+    Steps beyond ``solver.HISTORY_BLOCK`` reach the FFT product on a uniform
+    grid and the dense block product on a nonuniform one; alpha is drawn
+    near both ends of (0, 1).
+    """
+    worst = 0.0
+    mesh = fem1d.Mesh1D(4)
+    # alpha in (0, 0.05] on the uniform grid, in [0.95, 1) on the other
+    for uniform, alpha in ((True, 0.05 - rng.uniform(0.0, 0.05)),
+                           (False, rng.uniform(0.95, 1.0))):
+        grid = _random_grid(rng, max_intervals=160, uniform=uniform,
+                            min_intervals=solver.HISTORY_BLOCK + 1)
+        loads = rng.uniform(-1.0, 1.0, size=(grid.num_steps, mesh.n_interior))
+        marched, _ = solver.solve(assembly.ProblemSpec(alpha=alpha, tag="check"),
+                                  grid, mesh, loads=loads)
+        naive = _naive_march(grid, mesh, alpha, loads)
+        scale = float(np.max(np.abs(naive)))
+        worst = max(worst, float(np.max(np.abs(marched.values - naive))) / scale)
+    return _result("fast-history-vs-naive-march", worst, SOLVER_TOL, "2 draws")
+
+
 def experiment1_check_spec(alpha: float) -> assembly.ProblemSpec:
     return assembly.ProblemSpec(
         alpha=alpha,
@@ -526,6 +561,7 @@ _SUITE = (
     prop_zero_data,
     prop_energy_identity,
     prop_scalar_first_step,
+    prop_fast_history,
 )
 
 

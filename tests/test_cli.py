@@ -1,4 +1,5 @@
 import json
+import time
 
 from fracstep.cli import main
 
@@ -72,6 +73,15 @@ class TestSolve:
             "--mode", "32", "--nx", "16", "--nt", "8")
         assert code == 3
         assert "aliasing" in err
+
+    def test_over_budget_solve_exits_three_before_allocating(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "solve", "--experiment", "exp3", "--alpha", "0.5",
+            "--nx", "100000", "--nt", "100000")
+        assert code == 3
+        assert "budget" in err
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSweep:

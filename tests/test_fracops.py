@@ -145,6 +145,25 @@ class TestTemporalWeights:
             for j in range(1, k + 1):
                 assert dense[k, j] == pytest.approx(dense[k - 1, j - 1], rel=1e-13)
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_history_block_matches_dense_product(self, uniform):
+        rng = np.random.default_rng(23)
+        if uniform:
+            grid = TemporalGrid.uniform(100, 1.0)
+        else:
+            grid = TemporalGrid(np.concatenate([[0.0], np.cumsum(
+                rng.uniform(0.2, 1.0, size=100))]))
+        values = rng.uniform(-1.0, 1.0, size=(100, 5))
+        for alpha in (0.02, 0.5, 0.98):
+            weights = temporal_weights(grid, alpha)
+            dense = weights.dense()
+            for lo, mid, hi in ((0, 50, 100), (0, 1, 2), (37, 68, 100), (10, 41, 73)):
+                expected = dense[mid:hi, lo:mid] @ values[lo:mid]
+                block = weights.history_block(values, lo, mid, hi)
+                assert block.shape == expected.shape
+                assert np.max(np.abs(block - expected)) <= \
+                    1e-13 * np.max(np.abs(expected))
+
     def test_alpha_out_of_range(self):
         grid = TemporalGrid.uniform(4, 1.0)
         with pytest.raises(DomainError):

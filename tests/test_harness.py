@@ -237,6 +237,32 @@ class TestCache:
             fh.write("tampered=yes\n")
         assert load_cached_reference(str(tmp_path), meta, (4, 3)) is None
 
+    def test_store_leaves_only_the_entry(self, tmp_path):
+        meta = {"format": "1", "experiment": "check", "alpha": 0.5,
+                "T": 1.0, "n_cells": "8", "num_steps": "4"}
+        store_reference(str(tmp_path), meta, np.ones((4, 3)))
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 2
+        assert names[0].endswith(".bin") and names[1].endswith(".meta")
+        assert names[0][:-4] == names[1][:-5]
+
+    def test_store_failing_at_the_sidecar_is_not_served(self, tmp_path, monkeypatch):
+        meta = {"format": "1", "experiment": "check", "alpha": 0.5,
+                "T": 1.0, "n_cells": "8", "num_steps": "4"}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst.endswith(".meta"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            store_reference(str(tmp_path), meta, np.ones((4, 3)))
+        monkeypatch.undo()
+        assert load_cached_reference(str(tmp_path), meta, (4, 3)) is None
+        assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+
     def test_sweep_uses_cache(self, tmp_path):
         plan = SweepPlan(experiment="manufactured", alpha=0.8, axis="space",
                          levels=((8, 32),), reference=(64, 32))
@@ -246,7 +272,7 @@ class TestCache:
         assert first.rows[0]["E1"] == second.rows[0]["E1"]
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
 
-    @pytest.mark.parametrize("old_format", ["1", "2"])
+    @pytest.mark.parametrize("old_format", ["1", "2", "3"])
     def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
         # the entry an older format wrote for this plan's reference, filled with junk
         old_meta = {"format": old_format, "experiment": "manufactured", "alpha": 0.8,

@@ -48,37 +48,54 @@ class TestSolve:
         assert np.array_equal(base.values[:7], other.values[:7])
         assert not np.array_equal(base.values[7:], other.values[7:])
 
+    # J = 300 splits into leaves of 37 or 38 steps, with batched history
+    # products across every merge boundary
+
+    def test_causality_bit_identical_across_merges(self):
+        rng = np.random.default_rng(10)
+        grid = TemporalGrid.uniform(300, 1.0)
+        mesh = fem1d.Mesh1D(4)
+        spec = ProblemSpec(alpha=0.7, tag="check")
+        loads = rng.uniform(-1.0, 1.0, size=(300, 3))
+        base, _ = solver.solve(spec, grid, mesh, loads=loads)
+        bumped = loads.copy()
+        bumped[200:] += rng.uniform(0.5, 1.0, size=(100, 3))
+        other, _ = solver.solve(spec, grid, mesh, loads=bumped)
+        assert np.array_equal(base.values[:200], other.values[:200])
+        assert not np.array_equal(base.values[200:], other.values[200:])
+
+    def test_zero_data_zero_solution_across_merges(self):
+        grid = TemporalGrid.uniform(300, 1.0)
+        field, _ = solver.solve(ProblemSpec(alpha=0.5, tag="check"), grid,
+                                fem1d.Mesh1D(4))
+        assert np.all(field.values == 0.0)
+
 
 class TestHistorySum:
     def test_first_step_is_zero(self):
         grid = TemporalGrid.uniform(8, 1.0)
         weights = temporal_weights(grid, 0.5)
-        mass = fem1d.assemble_mass(fem1d.Mesh1D(8))
         values = np.ones((8, 7))
-        assert np.all(solver.history_sum(weights, mass, values, 0) == 0.0)
+        assert np.all(weights.history_dot(values, 0) == 0.0)
 
     def test_constant_field_telescopes(self):
         grid = TemporalGrid.uniform(8, 1.0)
         weights = temporal_weights(grid, 0.3)
-        mesh = fem1d.Mesh1D(8)
-        mass = fem1d.assemble_mass(mesh)
         values = np.tile(np.arange(1.0, 8.0), (8, 1))
         k = 5
-        hist = solver.history_sum(weights, mass, values, k)
+        hist = weights.history_dot(values, k)
         factor = weights.row_sum(k) - weights.diagonal(k)
-        assert np.allclose(hist, factor * mass.matvec(values[0]), rtol=1e-12)
+        assert np.allclose(hist, factor * values[0], rtol=1e-12)
 
     def test_matches_dense_block_product(self):
         rng = np.random.default_rng(31)
         grid = TemporalGrid.uniform(16, 1.0)
         weights = temporal_weights(grid, 0.6)
-        mesh = fem1d.Mesh1D(8)
-        mass = fem1d.assemble_mass(mesh)
         values = rng.uniform(-1.0, 1.0, size=(16, 7))
         dense = weights.dense()
         for k in (1, 7, 15):
-            expected = mass.matvec(dense[k, :k] @ values[:k])
-            assert np.allclose(solver.history_sum(weights, mass, values, k),
+            expected = dense[k, :k] @ values[:k]
+            assert np.allclose(weights.history_dot(values, k),
                                expected, rtol=1e-12, atol=1e-15)
 
 
@@ -146,6 +163,24 @@ class TestBlockEquivalence:
         loads = assembly.assemble_load(spec, grid, mesh)
         marched, _ = solver.solve(spec, grid, mesh, loads=loads)
         dense = solver.dense_block_solve(grid, mesh, 0.5, loads)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.98])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_marched_equals_dense_across_merges(self, alpha, uniform):
+        # J = 129 puts a merge boundary at step 64 and leaves of 32 and 33
+        rng = np.random.default_rng(17)
+        if uniform:
+            grid = TemporalGrid.uniform(129, 1.0)
+        else:
+            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=129))])
+            grid = TemporalGrid(nodes / nodes[-1])
+        mesh = fem1d.Mesh1D(4)
+        loads = rng.uniform(-1.0, 1.0, size=(129, 3))
+        marched, _ = solver.solve(ProblemSpec(alpha=alpha, tag="check"), grid,
+                                  mesh, loads=loads)
+        dense = solver.dense_block_solve(grid, mesh, alpha, loads)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
