@@ -5,14 +5,18 @@ fixed seed reproduces the identical report.  Closed-form identities are held
 to 1e-12 relative; comparisons against the quadrature oracle to 1e-9 (the
 oracle itself runs at 1e-10).  The oracle route never touches the package's
 gamma evaluation, which is what lets the suite detect a corrupted constant.
+Each property that calls the oracle builds its own table of Gauss-Jacobi
+rules and drops it on return, so a rule is computed once per property call
+and never carried over to another call or another suite run.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gamma as scipy_gamma
+from scipy.special import gamma as scipy_gamma, roots_jacobi
 
 from . import assembly, fem1d, fracops, solver
 from .fracops import PowerFunction, TemporalGrid
@@ -111,7 +115,7 @@ def prop_duality(rng, draws=100) -> PropertyResult:
     return _result("integral-duality", worst, CLOSED_FORM_TOL, f"{draws} draws")
 
 
-def _pairing_by_quadrature(grid, values, gamma) -> float:
+def _pairing_by_quadrature(grid, values, gamma, rules) -> float:
     """Left/right derivative pairing integrated by the oracle, term by term."""
     nodes = grid.nodes
     norm = scipy_gamma(1.0 - gamma) ** 2
@@ -125,7 +129,8 @@ def _pairing_by_quadrature(grid, values, gamma) -> float:
             for a, sign_a in ((nodes[j], 1.0), (nodes[j + 1], -1.0)):
                 for b, sign_b in ((nodes[k + 1], 1.0), (nodes[k], -1.0)):
                     if b > a:
-                        piece = singular_integral(a, b, p=-gamma, q=-gamma)
+                        piece = singular_integral(a, b, p=-gamma, q=-gamma,
+                                                  rules=rules)
                         total += vjk * sign_a * sign_b * piece
     return total / norm
 
@@ -135,6 +140,7 @@ def prop_coercivity(rng, draws=100, oracle_draws=5) -> PropertyResult:
     and its closed form agrees with the quadrature oracle."""
     min_ratio = math.inf
     worst = 0.0
+    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for i in range(draws):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=6)
@@ -145,7 +151,7 @@ def prop_coercivity(rng, draws=100, oracle_draws=5) -> PropertyResult:
         scale = float(np.max(np.abs(values)) ** 2)
         min_ratio = min(min_ratio, pairing / scale)
         if i < oracle_draws:
-            oracle = _pairing_by_quadrature(grid, values, gamma)
+            oracle = _pairing_by_quadrature(grid, values, gamma, rules)
             worst = max(worst, abs(pairing - oracle) / max(abs(oracle), 1e-300))
     ok = min_ratio > 0.0 and worst <= ORACLE_TOL
     detail = (f"min pairing/|v|_inf^2 = {min_ratio:.3e} over {draws} draws, "
@@ -153,7 +159,7 @@ def prop_coercivity(rng, draws=100, oracle_draws=5) -> PropertyResult:
     return PropertyResult("coercivity-pairing", ok, detail)
 
 
-def _pwc_integral_norm_sq(grid, values, gamma) -> float:
+def _pwc_integral_norm_sq(grid, values, gamma, rules) -> float:
     """||I_left^gamma v||^2 by singularity splitting + the oracle.
 
     On each interval the integral is an analytic part plus one
@@ -176,9 +182,10 @@ def _pwc_integral_norm_sq(grid, values, gamma) -> float:
             return full - c_l * (t - a) ** gamma
 
         total += singular_integral(
-            a, b, smooth=lambda t: np.asarray(analytic_part(t)) ** 2, atol=floor)
+            a, b, smooth=lambda t: np.asarray(analytic_part(t)) ** 2, atol=floor,
+            rules=rules)
         total += 2.0 * c_l * singular_integral(a, b, p=gamma, smooth=analytic_part,
-                                               atol=floor)
+                                               atol=floor, rules=rules)
         total += c_l ** 2 * (b - a) ** (2.0 * gamma + 1.0) / (2.0 * gamma + 1.0)
     return total
 
@@ -187,6 +194,7 @@ def prop_two_sided_bound(rng, draws=100) -> PropertyResult:
     """The left/right integral pairing is positive and comparable to the
     squared norm of the left integral, with measured two-sided constants."""
     ratios = []
+    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for _ in range(draws):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=5)
@@ -194,7 +202,7 @@ def prop_two_sided_bound(rng, draws=100) -> PropertyResult:
         if np.all(np.abs(values) < 0.1):
             values[-1] = 1.0
         pairing = fracops.fractional_integral_pairing_pwc(grid, values, gamma)
-        norm_sq = _pwc_integral_norm_sq(grid, values, gamma)
+        norm_sq = _pwc_integral_norm_sq(grid, values, gamma, rules)
         ratios.append(pairing / norm_sq)
     lo, hi = min(ratios), max(ratios)
     ok = lo > 0.0 and math.isfinite(hi)
@@ -230,13 +238,15 @@ def _numeric_derivative(func, t, rel_step=0.005) -> float:
 def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
     """Integral, derivative and weight closed forms match the oracle."""
     worst = 0.0
+    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for i in range(draws):
         gamma = rng.uniform(0.05, 0.95)
         sigma = rng.uniform(-0.99, 2.0)
         t = rng.uniform(0.3, 2.0)
         p = PowerFunction(1.0, sigma)
         closed = fracops.riemann_liouville_integral_power(p, gamma, t)
-        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0) / scipy_gamma(gamma)
+        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0,
+                                   rules=rules) / scipy_gamma(gamma)
         worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
 
         # derivative route: quadrature of the lifted integral, then numeric
@@ -247,8 +257,8 @@ def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
         dt = rng.uniform(0.5, 2.0)
 
         def lifted(s, dsigma=dsigma, dgamma=dgamma):
-            return fixed_order_integral(0.0, s, p=dsigma, q=-dgamma,
-                                        order=200) / scipy_gamma(1.0 - dgamma)
+            return fixed_order_integral(0.0, s, p=dsigma, q=-dgamma, order=200,
+                                        rules=rules) / scipy_gamma(1.0 - dgamma)
 
         dclosed = fracops.riemann_liouville_derivative_power(
             PowerFunction(1.0, dsigma), dgamma, dt)
@@ -267,11 +277,12 @@ def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
                 lo = max(a, nodes[k])
                 if nodes[k + 1] > a:
                     if lo == a:
-                        piece = singular_integral(a, nodes[k + 1], p=-alpha)
+                        piece = singular_integral(a, nodes[k + 1], p=-alpha,
+                                                  rules=rules)
                     else:
                         piece = singular_integral(
                             lo, nodes[k + 1],
-                            smooth=lambda s, a=a: (s - a) ** -alpha)
+                            smooth=lambda s, a=a: (s - a) ** -alpha, rules=rules)
                     pieces += sign * piece
             oracle_entry = pieces / scipy_gamma(1.0 - alpha)
             err = abs(weights.entry(k, j) - oracle_entry)

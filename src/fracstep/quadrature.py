@@ -13,7 +13,20 @@ forms, so oracle error never masks a kernel bug.
 This module is intentionally independent of :mod:`fracstep.gammafn`: nodes
 and weights come from scipy, giving the dual evaluation route the property
 checks rely on.
+
+Both integrators take the rule source as a keyword ``rules``, a callable
+with the signature of :func:`scipy.special.roots_jacobi` (the default).  A
+caller that evaluates many integrals with the same exponents can pass a
+table of rules, e.g. ``functools.lru_cache(maxsize=None)(roots_jacobi)``, so
+that each ``(n, alpha, beta)`` is computed once; the integrators never write
+into the returned arrays, so a table may hand the same ones out again.  A
+table belongs to one caller and lives only as long as that caller's work
+(one property of the suite, say): a process-wide table would grow without
+bound and would make a repeated run look faster than any single run is.
 """
+
+import math
+import numbers
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -25,8 +38,21 @@ _MIN_ORDER = 8
 _MAX_ORDER = 4096
 
 
+def _check_interval(a, b, p, q):
+    """Endpoints as floats; ``DomainError`` unless ``a < b`` and ``p, q`` are
+    finite and above -1 (a NaN exponent would pass a bare ``<= -1`` test)."""
+    a = float(a)
+    b = float(b)
+    if not b > a:
+        raise DomainError(f"empty or inverted interval ({a}, {b})")
+    if not (math.isfinite(p) and math.isfinite(q) and p > -1.0 and q > -1.0):
+        raise DomainError(
+            f"endpoint exponents must be finite and exceed -1, got p={p}, q={q}")
+    return a, b
+
+
 def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
-                      atol=0.0, max_order=_MAX_ORDER):
+                      atol=0.0, max_order=_MAX_ORDER, rules=roots_jacobi):
     """Integrate ``(t-a)^p (b-t)^q * smooth(t)`` over ``(a, b)``.
 
     Parameters
@@ -34,29 +60,31 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
     a, b : float
         Integration endpoints, ``a < b``.
     p, q : float
-        Endpoint exponents at ``a`` and ``b``; both must exceed -1.
+        Endpoint exponents at ``a`` and ``b``; both finite and above -1.
     smooth : callable, optional
         Vectorized factor evaluated at the quadrature nodes.  Defaults to 1.
         It must be smooth on ``[a, b]``; endpoint singularities belong in
         ``p``/``q``.
     rtol : float
-        Relative agreement required between consecutive rule orders.
+        Relative agreement required between consecutive rule orders; like
+        ``atol``, finite and nonnegative.
     atol : float
         Absolute agreement floor; needed when the integral itself can be
         zero up to roundoff (a relative test never terminates on noise).
     max_order : int
         Node budget; ``QuadratureError`` if agreement is not reached.
+    rules : callable
+        ``rules(n, alpha, beta)`` returns the nodes and weights of the
+        ``n``-point Gauss-Jacobi rule, as :func:`scipy.special.roots_jacobi`.
 
     Returns
     -------
     float
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        raise DomainError(f"empty or inverted interval ({a}, {b})")
-    if p <= -1.0 or q <= -1.0:
-        raise DomainError(f"endpoint exponents must exceed -1, got p={p}, q={q}")
+    a, b = _check_interval(a, b, p, q)
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -66,7 +94,7 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
     n = _MIN_ORDER
     while n <= max_order:
         # roots_jacobi weight is (1-x)^alpha (1+x)^beta; t-a maps to (1+x)
-        x, w = roots_jacobi(n, q, p)
+        x, w = rules(n, q, p)
         t = mid + half * x
         vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
         estimate = scale * float(np.sum(vals))
@@ -80,20 +108,20 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
         f"no convergence to rtol={rtol} within {max_order} nodes on ({a}, {b})")
 
 
-def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256):
+def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
+                         rules=roots_jacobi):
     """Single Gauss-Jacobi rule of the given order, no convergence loop.
 
     Used where the caller differentiates the result numerically and needs a
     noise floor at machine level rather than an adaptive stopping test.
+    ``order`` must be a positive integer; ``rules`` is as in
+    :func:`singular_integral`.
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        raise DomainError(f"empty or inverted interval ({a}, {b})")
-    if p <= -1.0 or q <= -1.0:
-        raise DomainError(f"endpoint exponents must exceed -1, got p={p}, q={q}")
+    a, b = _check_interval(a, b, p, q)
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise DomainError(f"order must be a positive integer, got {order!r}")
     half = 0.5 * (b - a)
-    x, w = roots_jacobi(order, q, p)
+    x, w = rules(order, q, p)
     t = 0.5 * (a + b) + half * x
     vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
     return half ** (p + q + 1.0) * float(np.sum(vals))

@@ -1,5 +1,10 @@
-import pytest
+import functools
+from collections import Counter
 
+import pytest
+from scipy.special import roots_jacobi
+
+from fracstep import properties
 from fracstep.properties import run_property_suite
 
 
@@ -34,3 +39,46 @@ def test_suite_passes_seeds_with_cancelling_duality_draws(seed):
     # seeds whose random polynomial pairings once cancelled to near zero
     failed = [r.name for r in run_property_suite(seed) if not r.passed]
     assert not failed, f"failed properties: {failed}"
+
+
+@pytest.fixture
+def rule_spy(monkeypatch):
+    """Record, per property, every Gauss-Jacobi rule the suite computes."""
+    computed = {}
+    current = [None]
+
+    def spy(n, alpha, beta):
+        computed.setdefault(current[0], []).append((n, alpha, beta))
+        return roots_jacobi(n, alpha, beta)
+
+    def labelled(prop):
+        @functools.wraps(prop)
+        def run(rng):
+            current[0] = prop.__name__
+            return prop(rng)
+        return run
+
+    monkeypatch.setattr(properties, "roots_jacobi", spy)
+    monkeypatch.setattr(properties, "_SUITE",
+                        tuple(labelled(prop) for prop in properties._SUITE))
+    return computed
+
+
+def test_no_rule_computed_twice_within_one_property(rule_spy):
+    results = run_property_suite()
+    assert all(r.passed for r in results)
+    assert rule_spy, "the suite computed no rule through its tables"
+    repeated = {name: [key for key, count in Counter(keys).items() if count > 1]
+                for name, keys in rule_spy.items()}
+    assert not any(repeated.values()), f"rules computed twice: {repeated}"
+
+
+def test_second_suite_run_computes_as_many_rules(rule_spy):
+    # the tables live for one property call, so nothing carries over between
+    # runs and a repeated run pays what a single run pays
+    run_property_suite()
+    first = {name: Counter(keys) for name, keys in rule_spy.items()}
+    rule_spy.clear()
+    run_property_suite()
+    second = {name: Counter(keys) for name, keys in rule_spy.items()}
+    assert first and second == first

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.special
@@ -43,6 +45,10 @@ def test_absolute_floor_for_zero_integrands():
     assert abs(value) <= 1e-14
 
 
+def _no_rules(n, alpha, beta):
+    pytest.fail(f"rule ({n}, {alpha}, {beta}) built for input that must be rejected")
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         singular_integral(1.0, 1.0)
@@ -52,6 +58,18 @@ def test_domain_errors():
         singular_integral(0.0, 1.0, p=-1.0)
     with pytest.raises(DomainError):
         singular_integral(0.0, 1.0, q=-1.5)
+    # rejected before any rule is built: a NaN exponent used to pass the
+    # p <= -1 test and fail inside scipy, a NaN rtol built every rule up to
+    # the node budget, and a bad order failed inside scipy
+    for func, kwargs in [
+            (singular_integral, {"p": np.nan}), (singular_integral, {"q": np.nan}),
+            (singular_integral, {"p": np.inf}), (singular_integral, {"rtol": np.nan}),
+            (singular_integral, {"rtol": -1e-10}), (singular_integral, {"atol": np.inf}),
+            (singular_integral, {"atol": -1e-14}), (fixed_order_integral, {"order": 0}),
+            (fixed_order_integral, {"order": -3}), (fixed_order_integral, {"order": 2.5}),
+            (fixed_order_integral, {"p": np.nan}), (fixed_order_integral, {"q": -np.inf})]:
+        with pytest.raises(DomainError):
+            func(0.0, 1.0, rules=_no_rules, **kwargs)
 
 
 def test_budget_exhaustion_raises():
@@ -78,3 +96,36 @@ def test_gauss_jacobi_moment_exactness():
         closed = (scipy.special.gamma(p + 1.0) * scipy.special.gamma(q + 1.0)
                   / scipy.special.gamma(p + q + 2.0))
         assert value == pytest.approx(closed, rel=1e-10)
+
+
+# the integrals of the tests above, as (function, arguments, keywords)
+_CASES = [
+    (singular_integral, (0.0, 1.0), {}),
+    (singular_integral, (0.0, 1.0), {"p": -0.5}),
+    (singular_integral, (0.0, 1.0), {"p": -0.25, "q": -0.25}),
+    (singular_integral, (0.0, 2.0), {"smooth": lambda t: t ** 2}),
+    (fixed_order_integral, (1.0, 3.0), {"p": -0.3, "q": -0.6, "smooth": np.exp,
+                                        "order": 600}),
+    (singular_integral, (1.0, 3.0), {"p": -0.3, "q": -0.6, "smooth": np.exp}),
+    (singular_integral, (0.0, 1.0), {"smooth": lambda t: 0.0 * t, "atol": 1e-14}),
+    (singular_integral, (0.0, 1.0), {"p": 0.3, "smooth": np.cos}),
+    (fixed_order_integral, (0.0, 1.0), {"p": 0.3, "smooth": np.cos, "order": 128}),
+]
+
+
+def test_shared_rule_table_gives_the_default_values():
+    # one table serves every case twice; its arrays are read-only, so an
+    # integrator that wrote into a rule it was handed would raise here
+    @functools.lru_cache(maxsize=None)
+    def frozen_rules(n, alpha, beta):
+        x, w = scipy.special.roots_jacobi(n, alpha, beta)
+        x.flags.writeable = False
+        w.flags.writeable = False
+        return x, w
+
+    expected = [func(*args, **kwargs) for func, args, kwargs in _CASES]
+    for _ in range(2):
+        shared = [func(*args, rules=frozen_rules, **kwargs)
+                  for func, args, kwargs in _CASES]
+        assert shared == expected
+    assert frozen_rules.cache_info().hits > 0
