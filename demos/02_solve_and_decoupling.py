@@ -27,7 +27,7 @@ print()
 print("=== spectral decoupling, alpha = 0.6, mode 1 ===")
 mesh = Mesh1D(32)
 grid = TemporalGrid.uniform(128, 1.0)
-spec = assembly.spectral_test_problem(1, mesh, 0.6)
+spec = assembly.spectral_test_problem(1, 0.6)
 field, _ = solve(spec, grid, mesh)
 
 lam = assembly.spectral_eigenvalue(mesh, 1)

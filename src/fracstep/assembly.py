@@ -22,12 +22,6 @@ from .gammafn import gamma_fn
 SPATIAL_POWER = "power"
 SPATIAL_SINE = "sine"
 
-TAG_EXPERIMENT1 = "experiment1"
-TAG_EXPERIMENT2 = "experiment2"
-TAG_EXPERIMENT3 = "experiment3"
-TAG_MANUFACTURED = "manufactured"
-TAG_SPECTRAL = "spectral_test"
-
 
 @dataclass(frozen=True)
 class SourceTerm:
@@ -60,36 +54,39 @@ class SourceTerm:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial value, either ``c x^r`` or prescribed nodal values."""
+    """Initial value, either ``c x^r`` or ``c`` times the nodal sine of a mode.
 
-    kind: str  # "power" | "nodal"
+    The sine kind is the interpolant of ``sin(mode pi x)`` on whatever mesh
+    the load is assembled on; modes at or above that mesh's cell count alias
+    and are rejected there.
+    """
+
+    kind: str  # "power" | "sine"
     scale: float = 1.0
     exponent: float = 0.0
-    nodal_values: np.ndarray | None = None
+    mode: int = 1
 
     def __post_init__(self):
         if self.kind == "power":
             if not self.exponent > -1.0:
                 raise DomainError(
                     f"initial-data exponent must exceed -1, got {self.exponent}")
-        elif self.kind == "nodal":
-            if self.nodal_values is None:
-                raise DomainError("nodal initial data needs values")
+        elif self.kind == "sine":
+            if self.mode < 1:
+                raise DomainError(f"sine mode must be >= 1, got {self.mode}")
         else:
             raise DomainError(f"unknown initial data kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full description of one solve: order, horizon, data and a tag."""
+    """Full description of one solve: order, horizon and data."""
 
     alpha: float
     final_time: float = 1.0
     initial: InitialData | None = None
     sources: tuple[SourceTerm, ...] = ()
-    tag: str = "custom"
     exact: "ManufacturedSolution | None" = None
-    spectral_mode: int | None = None
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -133,9 +130,10 @@ def initial_data_load(spec: ProblemSpec, grid: TemporalGrid,
     if init.kind == "power":
         space = init.scale * fem1d.power_load_vector(mesh, init.exponent)
     else:
-        values = np.asarray(init.nodal_values, dtype=float)
-        if values.shape != (mesh.n_interior,):
-            raise DomainError("nodal initial data does not match the mesh")
+        if not init.mode < mesh.n_cells:
+            raise DomainError(f"mode must lie in 1..{mesh.n_cells - 1} to avoid "
+                              f"aliasing, got {init.mode}")
+        values = fem1d.sine_vector(mesh, init.mode)
         space = init.scale * fem1d.assemble_mass(mesh).matvec(values)
     return np.outer(factors, space)
 
@@ -211,23 +209,19 @@ def manufactured_problem(alpha: float, final_time: float = 1.0) -> ProblemSpec:
         SourceTerm(SPATIAL_SINE, 1, 2.0, math.pi ** 2),
     )
     return ProblemSpec(alpha=alpha, final_time=final_time, initial=None,
-                       sources=sources, tag=TAG_MANUFACTURED, exact=exact)
+                       sources=sources, exact=exact)
 
 
-def spectral_test_problem(mode: int, mesh: fem1d.Mesh1D, alpha: float,
+def spectral_test_problem(mode: int, alpha: float,
                           final_time: float = 1.0) -> ProblemSpec:
     """Nodal sine initial data with zero source; decouples onto one mode.
 
     The initial value enters through its mass-weighted load.  Modes at or
-    above ``n_cells`` alias to coarser ones (or to zero) and are rejected.
+    above the mesh's ``n_cells`` alias to coarser ones (or to zero) and are
+    rejected when the load is assembled.
     """
-    if not 1 <= mode < mesh.n_cells:
-        raise DomainError(
-            f"mode must lie in 1..{mesh.n_cells - 1} to avoid aliasing, got {mode}")
-    values = fem1d.sine_vector(mesh, mode)
-    initial = InitialData(kind="nodal", nodal_values=values)
-    return ProblemSpec(alpha=alpha, final_time=final_time, initial=initial,
-                       sources=(), tag=TAG_SPECTRAL, spectral_mode=mode)
+    return ProblemSpec(alpha=alpha, final_time=final_time,
+                       initial=InitialData(kind="sine", mode=mode))
 
 
 def spectral_eigenvalue(mesh: fem1d.Mesh1D, mode: int) -> float:

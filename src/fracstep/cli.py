@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import assembly, fem1d, harness, solver
+from . import fem1d, harness, solver
 from .errors import BudgetError, FracstepError
 from .fracops import TemporalGrid
 from .harness import format_float, is_power_of_two
@@ -24,17 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_PROPERTIES = 4
-
-_EXPERIMENT_ALIASES = {
-    "exp1": assembly.TAG_EXPERIMENT1,
-    "exp2": assembly.TAG_EXPERIMENT2,
-    "exp3": assembly.TAG_EXPERIMENT3,
-    "experiment1": assembly.TAG_EXPERIMENT1,
-    "experiment2": assembly.TAG_EXPERIMENT2,
-    "experiment3": assembly.TAG_EXPERIMENT3,
-    "manufactured": assembly.TAG_MANUFACTURED,
-    "spectral": assembly.TAG_SPECTRAL,
-}
 
 
 class ConfigError(Exception):
@@ -49,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value file with flag defaults")
-        p.add_argument("--experiment", help="exp1|exp2|exp3|manufactured|spectral")
+        p.add_argument("--experiment", help=", ".join(
+            "|".join(entry.aliases) for entry in harness.EXPERIMENTS.values()))
         p.add_argument("--alpha", type=float, help="fractional order in (0,1)")
         p.add_argument("--r", type=float, help="spatial power exponent")
         p.add_argument("--c", type=float, help="initial-data scale (experiment 2)")
@@ -118,12 +108,12 @@ def _require(args, name):
     return value
 
 
-def _experiment_tag(args) -> str:
+def _experiment(args) -> tuple[str, harness.Experiment]:
     name = _require(args, "experiment")
-    try:
-        return _EXPERIMENT_ALIASES[name]
-    except KeyError:
-        raise ConfigError(f"unknown experiment {name!r}") from None
+    for tag, entry in harness.EXPERIMENTS.items():
+        if name in entry.aliases:
+            return tag, entry
+    raise ConfigError(f"unknown experiment {name!r}")
 
 
 def _check_alpha(alpha: float) -> float:
@@ -132,16 +122,10 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _experiment_params(tag: str, args) -> dict:
-    params = {}
-    if tag == assembly.TAG_EXPERIMENT1:
-        params["r"] = _require(args, "r")
-        if args.sigma is not None:
-            params["sigma"] = args.sigma
-    elif tag == assembly.TAG_EXPERIMENT2:
-        if args.c is not None:
-            params["c"] = args.c
-    return params
+def _experiment_params(entry: harness.Experiment, args) -> dict:
+    """The experiment's data flags that were given, by parameter name."""
+    return {name: getattr(args, name) for name in entry.params
+            if getattr(args, name) is not None}
 
 
 def _write_output(args, text: str) -> None:
@@ -156,7 +140,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _run_solve(args) -> int:
-    tag = _experiment_tag(args)
+    tag, entry = _experiment(args)
     alpha = _check_alpha(_require(args, "alpha"))
     nx = _require(args, "nx")
     nt = _require(args, "nt")
@@ -165,13 +149,13 @@ def _run_solve(args) -> int:
     if nx * nt > harness.DEFAULT_BUDGET:
         raise BudgetError(f"solve ({nx} cells, {nt} steps) exceeds the budget of "
                           f"{harness.DEFAULT_BUDGET} space-time unknowns")
+    for name, default in entry.params.items():
+        if default is None:
+            _require(args, name)
+    params = _experiment_params(entry, args)
     mesh = fem1d.Mesh1D(nx)
     grid = TemporalGrid.uniform(nt, 1.0)
-    if tag == assembly.TAG_SPECTRAL:
-        mode = _require(args, "mode")
-        spec = assembly.spectral_test_problem(mode, mesh, alpha)
-    else:
-        spec = harness.experiment_problem(tag, alpha, **_experiment_params(tag, args))
+    spec = harness.experiment_problem(tag, alpha, **params)
     field, report = solver.solve(spec, grid, mesh)
 
     errors = None
@@ -198,7 +182,7 @@ def _run_solve(args) -> int:
     else:
         obj = {
             "meta": {"experiment": tag, "alpha": alpha, "nx": nx, "nt": nt,
-                     "params": _experiment_params(tag, args)},
+                     "params": params},
             "final_time_values": {"x": x.tolist(), "u": u.tolist()},
             "errors": errors,
             "report": {"steps": report.steps,
@@ -213,7 +197,7 @@ def _run_solve(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    tag = _experiment_tag(args)
+    tag, entry = _experiment(args)
     axis = args.axis or "space"
     if args.alpha is not None:
         _check_alpha(args.alpha)
@@ -228,7 +212,7 @@ def _run_sweep(args) -> int:
             raise ConfigError("--ref-nx and --ref-nt must be given together")
         reference = (args.ref_nx, args.ref_nt)
     plan = harness.default_plan(
-        tag, axis, alpha=args.alpha, params=_experiment_params(tag, args),
+        tag, axis, alpha=args.alpha, params=_experiment_params(entry, args),
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)
     table = harness.run_sweep(plan, cache_dir=args.cache_dir)
     if (args.fmt or "csv") == "csv":

@@ -329,30 +329,3 @@ def fractional_seminorm_pwc(grid: TemporalGrid, values, gamma: float) -> float:
         squared = 0.0
     return math.sqrt(squared)
 
-
-# ---------------------------------------------------------------------------
-# pointwise evaluators for piecewise constants (test/oracle support)
-# ---------------------------------------------------------------------------
-
-def pwc_left_integral(grid: TemporalGrid, values, gamma: float, t) -> np.ndarray:
-    """Pointwise left fractional integral of a piecewise constant."""
-    gamma = _ensure_order(gamma, 0.0, 2.0, "integral order")
-    values = np.asarray(values, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lo = grid.nodes[:-1]
-    hi = grid.nodes[1:]
-    terms = (_plus_power(t[..., None] - lo, gamma)
-             - _plus_power(t[..., None] - hi, gamma))
-    return terms @ values / gamma_fn(1.0 + gamma)
-
-
-def pwc_right_integral(grid: TemporalGrid, values, gamma: float, t) -> np.ndarray:
-    """Pointwise right fractional integral of a piecewise constant."""
-    gamma = _ensure_order(gamma, 0.0, 2.0, "integral order")
-    values = np.asarray(values, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lo = grid.nodes[:-1]
-    hi = grid.nodes[1:]
-    terms = (_plus_power(hi - t[..., None], gamma)
-             - _plus_power(lo - t[..., None], gamma))
-    return terms @ values / gamma_fn(1.0 + gamma)

@@ -1,4 +1,9 @@
-"""Convergence-study engine: refinement sweeps, orders, tables, caching.
+"""Convergence-study engine: experiments, refinement sweeps, orders, caching.
+
+``EXPERIMENTS`` is the one place an experiment is defined.  Keyed by the
+canonical tag, each record holds the CLI aliases, the data parameters with
+their defaults, a mesh-free spec builder and the desk-scale plan per axis;
+the CLI, the sweeps and the property suite all read it.
 
 A sweep solves a reference problem on a fine nested grid once, solves each
 coarser level once, and integrates the space-time errors exactly on the
@@ -14,6 +19,7 @@ import hashlib
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -36,47 +42,105 @@ DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 
 
 # ---------------------------------------------------------------------------
-# experiment registry
+# experiment table: the one place an experiment is defined
 # ---------------------------------------------------------------------------
 
-def experiment_problem(experiment: str, alpha: float, r: float | None = None,
-                       c: float | None = None, sigma: float | None = None,
-                       final_time: float = 1.0) -> assembly.ProblemSpec:
-    """Construct the problem spec for a registered experiment tag.
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment.
 
-    ``experiment1``: initial value ``x^r`` and source ``x^r t^-sigma``
-    (default sigma 0.49).  ``experiment2``: initial value ``c x^-0.49`` and
-    source ``x^-0.8 t^-0.49``.  ``experiment3``: zero initial value and
-    source ``x^-0.49 t^-0.29``.  ``manufactured``: exact solution
-    ``t^2 sin(pi x)``.
+    ``aliases`` are the names ``fracstep --experiment`` accepts.  ``params``
+    maps each data parameter to its default, ``None`` where it is required.
+    ``build(alpha, final_time=1.0, **params)`` returns the mesh-free spec.
+    ``plans`` maps an axis to the desk-scale settings of :func:`default_plan`.
     """
-    if experiment == assembly.TAG_EXPERIMENT1:
-        if r is None:
-            raise DomainError("experiment1 needs the spatial exponent r")
-        sigma = 0.49 if sigma is None else sigma
-        return assembly.ProblemSpec(
-            alpha=alpha, final_time=final_time,
-            initial=assembly.InitialData(kind="power", scale=1.0, exponent=r),
-            sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, r, -sigma),),
-            tag=assembly.TAG_EXPERIMENT1)
-    if experiment == assembly.TAG_EXPERIMENT2:
-        c = 0.0 if c is None else c
-        initial = None
-        if c != 0.0:
-            initial = assembly.InitialData(kind="power", scale=c, exponent=-0.49)
-        return assembly.ProblemSpec(
-            alpha=alpha, final_time=final_time, initial=initial,
-            sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.8, -0.49),),
-            tag=assembly.TAG_EXPERIMENT2)
-    if experiment == assembly.TAG_EXPERIMENT3:
-        return assembly.ProblemSpec(
-            alpha=alpha, final_time=final_time, initial=None,
-            sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.49, -0.29),),
-            tag=assembly.TAG_EXPERIMENT3)
-    if experiment == assembly.TAG_MANUFACTURED:
-        return assembly.manufactured_problem(alpha, final_time)
-    raise DomainError(f"unknown experiment tag {experiment!r}")
 
+    aliases: tuple[str, ...]
+    params: dict
+    build: Callable[..., assembly.ProblemSpec]
+    plans: dict
+
+
+def _experiment1(alpha, final_time=1.0, *, r, sigma):
+    """Initial value ``x^r`` and source ``x^r t^-sigma``."""
+    return assembly.ProblemSpec(
+        alpha=alpha, final_time=final_time,
+        initial=assembly.InitialData(kind="power", scale=1.0, exponent=r),
+        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, r, -sigma),))
+
+
+def _experiment2(alpha, final_time=1.0, *, c):
+    """Initial value ``c x^-0.49`` (none for c = 0) and source ``x^-0.8 t^-0.49``."""
+    initial = None
+    if c != 0.0:
+        initial = assembly.InitialData(kind="power", scale=c, exponent=-0.49)
+    return assembly.ProblemSpec(
+        alpha=alpha, final_time=final_time, initial=initial,
+        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.8, -0.49),))
+
+
+def _experiment3(alpha, final_time=1.0):
+    """Zero initial value and source ``x^-0.49 t^-0.29``."""
+    return assembly.ProblemSpec(
+        alpha=alpha, final_time=final_time,
+        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.49, -0.29),))
+
+
+def _spectral(alpha, final_time=1.0, *, mode):
+    return assembly.spectral_test_problem(mode, alpha, final_time)
+
+
+# keyed by the canonical tag, which sweep metadata and cache keys carry
+EXPERIMENTS = {
+    "experiment1": Experiment(
+        aliases=("exp1", "experiment1"), params={"r": None, "sigma": 0.49},
+        build=_experiment1,
+        plans={AXIS_SPACE: dict(alpha=0.2, params={"r": -0.8}, nx=8, nt=4096,
+                                count=4, reference=(512, 4096)),
+               AXIS_TIME: dict(alpha=0.4, params={"r": -0.49}, nx=256, nt=16,
+                               count=5, reference=(256, 4096))}),
+    "experiment2": Experiment(
+        aliases=("exp2", "experiment2"), params={"c": 0.0}, build=_experiment2,
+        plans={AXIS_SPACE: dict(alpha=0.7, params={"c": 0.0}, nx=4, nt=4096,
+                                count=5, reference=(512, 4096)),
+               AXIS_TIME: dict(alpha=0.8, params={"c": 0.0}, nx=256, nt=16,
+                               count=5, reference=(256, 4096))}),
+    "experiment3": Experiment(
+        aliases=("exp3", "experiment3"), params={}, build=_experiment3,
+        plans={AXIS_SPACE: dict(alpha=0.8, params={}, nx=8, nt=4096, count=4,
+                                reference=(512, 4096)),
+               AXIS_TIME: dict(alpha=0.8, params={}, nx=256, nt=16, count=5,
+                               reference=(256, 4096))}),
+    "manufactured": Experiment(
+        aliases=("manufactured",), params={}, build=assembly.manufactured_problem,
+        plans={AXIS_SPACE: dict(alpha=0.8, params={}, nx=8, nt=1024, count=5,
+                                reference=(2048, 1024)),
+               AXIS_TIME: dict(alpha=0.8, params={}, nx=256, nt=16, count=6,
+                               reference=None, error_mode=ERROR_VS_EXACT)}),
+    "spectral_test": Experiment(
+        aliases=("spectral",), params={"mode": None}, build=_spectral, plans={}),
+}
+
+
+def experiment_problem(experiment: str, alpha: float, final_time: float = 1.0,
+                       **params) -> assembly.ProblemSpec:
+    """Construct the problem spec of a registered experiment tag.
+
+    Parameters left out or given as ``None`` take the table's defaults; a
+    required one left unset, or one the experiment does not have, raises.
+    """
+    if experiment not in EXPERIMENTS:
+        raise DomainError(f"unknown experiment tag {experiment!r}")
+    entry = EXPERIMENTS[experiment]
+    for name in params:
+        if name not in entry.params:
+            raise DomainError(f"{experiment} has no parameter {name!r}")
+    values = {name: default if params.get(name) is None else params[name]
+              for name, default in entry.params.items()}
+    for name, value in values.items():
+        if value is None:
+            raise DomainError(f"{experiment} needs the parameter {name!r}")
+    return entry.build(alpha, final_time, **values)
 
 # ---------------------------------------------------------------------------
 # sweep plans and tables
@@ -261,12 +325,12 @@ def _cache_paths(cache_dir: str, meta_text: str) -> tuple[str, str]:
     return base + ".bin", base + ".meta"
 
 
-def _reference_meta(spec, n_cells: int, num_steps: int, params: dict) -> dict:
-    meta = {"format": _CACHE_FORMAT, "experiment": spec.tag,
-            "alpha": float(spec.alpha), "T": float(spec.final_time),
+def _reference_meta(plan: SweepPlan, n_cells: int, num_steps: int) -> dict:
+    meta = {"format": _CACHE_FORMAT, "experiment": plan.experiment,
+            "alpha": float(plan.alpha), "T": float(plan.final_time),
             "n_cells": str(n_cells), "num_steps": str(num_steps)}
-    for key in sorted(params):
-        meta[f"param_{key}"] = float(params[key])
+    for key in sorted(plan.params):
+        meta[f"param_{key}"] = float(plan.params[key])
     return meta
 
 
@@ -341,7 +405,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     if plan.error_mode == ERROR_VS_REFERENCE:
         ref_nx, ref_nt = plan.reference
         shape = (ref_nt, ref_nx - 1)
-        meta = _reference_meta(spec, ref_nx, ref_nt, plan.params)
+        meta = _reference_meta(plan, ref_nx, ref_nt)
         cached = None
         if cache_dir is not None:
             cached = load_cached_reference(cache_dir, meta, shape)
@@ -400,34 +464,6 @@ def _geometric_levels(axis, nx, nt, count):
     return tuple((nx, nt * (1 << i)) for i in range(count))
 
 
-_DESK_DEFAULTS = {
-    (assembly.TAG_EXPERIMENT1, AXIS_SPACE): dict(
-        alpha=0.2, params={"r": -0.8}, nx=8, nt=4096, count=4,
-        reference=(512, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_EXPERIMENT1, AXIS_TIME): dict(
-        alpha=0.4, params={"r": -0.49}, nx=256, nt=16, count=5,
-        reference=(256, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_EXPERIMENT2, AXIS_SPACE): dict(
-        alpha=0.7, params={"c": 0.0}, nx=4, nt=4096, count=5,
-        reference=(512, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_EXPERIMENT2, AXIS_TIME): dict(
-        alpha=0.8, params={"c": 0.0}, nx=256, nt=16, count=5,
-        reference=(256, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_EXPERIMENT3, AXIS_SPACE): dict(
-        alpha=0.8, params={}, nx=8, nt=4096, count=4,
-        reference=(512, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_EXPERIMENT3, AXIS_TIME): dict(
-        alpha=0.8, params={}, nx=256, nt=16, count=5,
-        reference=(256, 4096), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_MANUFACTURED, AXIS_SPACE): dict(
-        alpha=0.8, params={}, nx=8, nt=1024, count=5,
-        reference=(2048, 1024), error_mode=ERROR_VS_REFERENCE),
-    (assembly.TAG_MANUFACTURED, AXIS_TIME): dict(
-        alpha=0.8, params={}, nx=256, nt=16, count=6,
-        reference=None, error_mode=ERROR_VS_EXACT),
-}
-
-
 def default_plan(experiment: str, axis: str, alpha: float | None = None,
                  params: dict | None = None, nx: int | None = None,
                  nt: int | None = None, count: int | None = None,
@@ -436,12 +472,13 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
 
     ``nx``/``nt`` set the coarsest swept resolution on the refined axis and
     the fixed resolution on the other; ``count`` is the number of dyadic
-    levels.  The acceptance-scale defaults match the shipped order checks.
+    levels; ``params`` update the plan's own.  The acceptance-scale defaults
+    match the shipped order checks.
     """
-    key = (experiment, axis)
-    if key not in _DESK_DEFAULTS:
+    entry = EXPERIMENTS.get(experiment)
+    if entry is None or axis not in entry.plans:
         raise DomainError(f"no default plan for {experiment!r} on axis {axis!r}")
-    cfg = dict(_DESK_DEFAULTS[key])
+    cfg = entry.plans[axis]
     alpha = cfg["alpha"] if alpha is None else alpha
     merged_params = dict(cfg["params"])
     if params:
@@ -454,4 +491,4 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
         experiment=experiment, alpha=alpha, axis=axis,
         levels=_geometric_levels(axis, nx, nt, count),
         reference=reference, params=merged_params,
-        error_mode=cfg["error_mode"])
+        error_mode=cfg.get("error_mode", ERROR_VS_REFERENCE))

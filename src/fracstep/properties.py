@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gamma as scipy_gamma, roots_jacobi
 
-from . import assembly, fem1d, fracops, solver
+from . import assembly, fem1d, fracops, harness, solver
 from .fracops import PowerFunction, TemporalGrid
 from .gammafn import gamma_fn
 from .quadrature import fixed_order_integral, singular_integral
@@ -159,12 +159,21 @@ def prop_coercivity(rng, draws=100, oracle_draws=5) -> PropertyResult:
     return PropertyResult("coercivity-pairing", ok, detail)
 
 
+def _pwc_left_integral(grid, values, gamma, t) -> np.ndarray:
+    """Left fractional integral of a piecewise constant at ``t``, oracle side."""
+    t = np.asarray(t, dtype=float)[..., None]
+    terms = (np.maximum(t - grid.nodes[:-1], 0.0) ** gamma
+             - np.maximum(t - grid.nodes[1:], 0.0) ** gamma)
+    return terms @ np.asarray(values, dtype=float) / scipy_gamma(1.0 + gamma)
+
+
 def _pwc_integral_norm_sq(grid, values, gamma, rules) -> float:
     """||I_left^gamma v||^2 by singularity splitting + the oracle.
 
     On each interval the integral is an analytic part plus one
     ``(t - t_l)^gamma`` term, so the square splits into three pieces with
-    known endpoint exponents.
+    known endpoint exponents.  Nothing here calls :mod:`fracops`, so the
+    split stays exact when the closed forms under test are wrong.
     """
     total = 0.0
     nodes = grid.nodes
@@ -178,7 +187,7 @@ def _pwc_integral_norm_sq(grid, values, gamma, rules) -> float:
         previous = values[l]
 
         def analytic_part(t, a=a, c_l=c_l):
-            full = fracops.pwc_left_integral(grid, values, gamma, t)
+            full = _pwc_left_integral(grid, values, gamma, t)
             return full - c_l * (t - a) ** gamma
 
         total += singular_integral(
@@ -366,11 +375,7 @@ def prop_separability(rng) -> PropertyResult:
     """Assembled loads equal their entrywise scalar-product recomputation."""
     grid = _random_grid(rng, max_intervals=6, uniform=True)
     mesh = fem1d.Mesh1D(8)
-    spec = assembly.ProblemSpec(
-        alpha=0.4,
-        initial=assembly.InitialData(kind="power", scale=1.0, exponent=-0.8),
-        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.8, -0.49),),
-        tag="check")
+    spec = _experiment1(0.4)
     loads = assembly.assemble_load(spec, grid, mesh)
     ifac = assembly.initial_time_factors(grid, spec.alpha)
     sfac = assembly.power_time_factors(grid, -0.49)
@@ -430,7 +435,7 @@ def prop_manufactured_residual(rng, samples=20) -> PropertyResult:
 def prop_causality(rng) -> PropertyResult:
     grid = TemporalGrid.uniform(12, 1.0)
     mesh = fem1d.Mesh1D(8)
-    spec = assembly.ProblemSpec(alpha=0.5, tag="check")
+    spec = assembly.ProblemSpec(alpha=0.5)
     loads = rng.uniform(-1.0, 1.0, size=(12, mesh.n_interior))
     first, _ = solver.solve(spec, grid, mesh, loads=loads)
     bumped = loads.copy()
@@ -448,7 +453,7 @@ def prop_block_equivalence(rng) -> PropertyResult:
         for uniform in (True, False):
             grid = TemporalGrid.uniform(16, 1.0) if uniform \
                 else _random_grid(rng, max_intervals=16)
-            spec = experiment1_check_spec(alpha)
+            spec = _experiment1(alpha)
             loads = assembly.assemble_load(spec, grid, mesh)
             marched, _ = solver.solve(spec, grid, mesh, loads=loads)
             dense = solver.dense_block_solve(grid, mesh, alpha, loads)
@@ -484,7 +489,7 @@ def prop_fast_history(rng) -> PropertyResult:
         grid = _random_grid(rng, max_intervals=160, uniform=uniform,
                             min_intervals=solver.HISTORY_BLOCK + 1)
         loads = rng.uniform(-1.0, 1.0, size=(grid.num_steps, mesh.n_interior))
-        marched, _ = solver.solve(assembly.ProblemSpec(alpha=alpha, tag="check"),
+        marched, _ = solver.solve(assembly.ProblemSpec(alpha=alpha),
                                   grid, mesh, loads=loads)
         naive = _naive_march(grid, mesh, alpha, loads)
         scale = float(np.max(np.abs(naive)))
@@ -492,19 +497,16 @@ def prop_fast_history(rng) -> PropertyResult:
     return _result("fast-history-vs-naive-march", worst, SOLVER_TOL, "2 draws")
 
 
-def experiment1_check_spec(alpha: float) -> assembly.ProblemSpec:
-    return assembly.ProblemSpec(
-        alpha=alpha,
-        initial=assembly.InitialData(kind="power", scale=1.0, exponent=-0.8),
-        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.8, -0.49),),
-        tag="check")
+def _experiment1(alpha: float) -> assembly.ProblemSpec:
+    """Experiment 1 with the rough initial value ``x^-0.8``."""
+    return harness.experiment_problem("experiment1", alpha, r=-0.8)
 
 
 def prop_spectral_decoupling(rng, n_cells=16, num_steps=32, alpha=0.6,
                              mode=1) -> PropertyResult:
     mesh = fem1d.Mesh1D(n_cells)
     grid = TemporalGrid.uniform(num_steps, 1.0)
-    spec = assembly.spectral_test_problem(mode, mesh, alpha)
+    spec = assembly.spectral_test_problem(mode, alpha)
     field, _ = solver.solve(spec, grid, mesh)
     lam = assembly.spectral_eigenvalue(mesh, mode)
     scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
@@ -517,7 +519,7 @@ def prop_spectral_decoupling(rng, n_cells=16, num_steps=32, alpha=0.6,
 def prop_zero_data(rng) -> PropertyResult:
     grid = TemporalGrid.uniform(16, 1.0)
     mesh = fem1d.Mesh1D(8)
-    spec = assembly.ProblemSpec(alpha=0.5, tag="check")
+    spec = assembly.ProblemSpec(alpha=0.5)
     field, _ = solver.solve(spec, grid, mesh)
     exact_zero = bool(np.all(field.values == 0.0))
     return PropertyResult("zero-data-uniqueness", exact_zero,
@@ -529,7 +531,7 @@ def prop_energy_identity(rng) -> PropertyResult:
     mesh = fem1d.Mesh1D(16)
     grid = TemporalGrid.uniform(32, 1.0)
     for alpha in (0.3, 0.8):
-        spec = experiment1_check_spec(alpha)
+        spec = _experiment1(alpha)
         loads = assembly.assemble_load(spec, grid, mesh)
         field, report = solver.solve(spec, grid, mesh, loads=loads)
         weights = fracops.temporal_weights(grid, alpha)

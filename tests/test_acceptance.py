@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep import assembly, fem1d, harness, solver
 from fracstep.fracops import TemporalGrid, temporal_weights
 from fracstep.properties import (
@@ -108,7 +109,7 @@ def test_criterion_3_spectral_decoupling():
     mesh = fem1d.Mesh1D(32)
     grid = TemporalGrid.uniform(128, 1.0)
     alpha, mode = 0.6, 1
-    spec = assembly.spectral_test_problem(mode, mesh, alpha)
+    spec = assembly.spectral_test_problem(mode, alpha)
     field, _ = solver.solve(spec, grid, mesh)
     lam = assembly.spectral_eigenvalue(mesh, mode)
     scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
@@ -176,6 +177,10 @@ def test_criterion_6_experiment3_desk_scale(experiment3_tables):
 def test_criterion_7_sweep_determinism(tmp_path):
     env = dict(os.environ)
     env["FRACSTEP_CACHE_DIR"] = str(tmp_path / "cache")
+    # the child imports the package this process imported
+    package_root = os.path.dirname(os.path.dirname(fracstep.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     args = [sys.executable, "-m", "fracstep", "sweep", "--experiment", "exp1",
             "--alpha", "0.3", "--r", "-0.5", "--axis", "space", "--nx", "4",
             "--levels", "2", "--nt", "16", "--ref-nx", "32", "--ref-nt", "16"]

@@ -58,14 +58,13 @@ class TestLoads:
         grid = TemporalGrid.uniform(4, 1.0)
         mesh = fem1d.Mesh1D(8)
         spec = ProblemSpec(alpha=0.5,
-                           initial=InitialData(kind="power", scale=0.0, exponent=0.5),
-                           tag="check")
+                           initial=InitialData(kind="power", scale=0.0, exponent=0.5))
         assert np.all(initial_data_load(spec, grid, mesh) == 0.0)
 
     def test_no_source_gives_zero(self):
         grid = TemporalGrid.uniform(4, 1.0)
         mesh = fem1d.Mesh1D(8)
-        spec = ProblemSpec(alpha=0.5, tag="check")
+        spec = ProblemSpec(alpha=0.5)
         assert np.all(source_load(spec, grid, mesh) == 0.0)
 
     def test_unit_source_on_unit_cells(self):
@@ -73,7 +72,7 @@ class TestLoads:
         grid = TemporalGrid.uniform(3, 3.0)
         mesh = fem1d.Mesh1D(4)
         spec = ProblemSpec(alpha=0.5,
-                           sources=(SourceTerm("power", 0.0, 0.0),), tag="check")
+                           sources=(SourceTerm("power", 0.0, 0.0),))
         loads = source_load(spec, grid, mesh)
         assert np.allclose(loads, 1.0 * mesh.h, rtol=1e-13)
 
@@ -83,7 +82,7 @@ class TestLoads:
         spec = ProblemSpec(
             alpha=0.4,
             initial=InitialData(kind="power", scale=1.0, exponent=-0.8),
-            sources=(SourceTerm("power", -0.8, -0.49),), tag="check")
+            sources=(SourceTerm("power", -0.8, -0.49),))
         loads = assemble_load(spec, grid, mesh)
         ifac = initial_time_factors(grid, 0.4)
         sfac = power_time_factors(grid, -0.49)
@@ -94,16 +93,19 @@ class TestLoads:
                 assert loads[k, i] == pytest.approx(expected, rel=1e-14)
 
     def test_nodal_initial_data_uses_mass_weighting(self):
+        # the sine initial value is interpolated on the load's mesh
         grid = TemporalGrid.uniform(3, 1.0)
         mesh = fem1d.Mesh1D(8)
         values = fem1d.sine_vector(mesh, 2)
-        spec = ProblemSpec(alpha=0.6,
-                           initial=InitialData(kind="nodal", nodal_values=values),
-                           tag="check")
+        spec = spectral_test_problem(2, 0.6)
         loads = initial_data_load(spec, grid, mesh)
         expected = np.outer(initial_time_factors(grid, 0.6),
                             fem1d.assemble_mass(mesh).matvec(values))
         assert np.allclose(loads, expected, rtol=1e-14)
+        scaled = ProblemSpec(alpha=0.6,
+                             initial=InitialData(kind="sine", scale=2.5, mode=2))
+        assert np.allclose(initial_data_load(scaled, grid, mesh), 2.5 * expected,
+                           rtol=1e-14)
 
 
 class TestManufactured:
@@ -196,11 +198,14 @@ class TestManufactured:
 
 class TestSpectral:
     def test_aliasing_guard(self):
-        mesh = fem1d.Mesh1D(8)
+        # the spec is mesh-free: an aliasing mode is rejected with the load
+        grid = TemporalGrid.uniform(2, 1.0)
+        spec = spectral_test_problem(8, 0.5)
+        assert initial_data_load(spec, grid, fem1d.Mesh1D(16)).shape == (2, 15)
+        with pytest.raises(DomainError, match="aliasing"):
+            initial_data_load(spec, grid, fem1d.Mesh1D(8))
         with pytest.raises(DomainError):
-            spectral_test_problem(8, mesh, 0.5)
-        with pytest.raises(DomainError):
-            spectral_test_problem(0, mesh, 0.5)
+            spectral_test_problem(0, 0.5)
 
     def test_rayleigh_quotient_matches_closed_eigenvalue(self):
         mesh = fem1d.Mesh1D(8)
@@ -212,9 +217,9 @@ class TestSpectral:
 class TestValidation:
     def test_alpha_range(self):
         with pytest.raises(DomainError):
-            ProblemSpec(alpha=1.2, tag="check")
+            ProblemSpec(alpha=1.2)
         with pytest.raises(DomainError):
-            ProblemSpec(alpha=0.0, tag="check")
+            ProblemSpec(alpha=0.0)
 
     def test_spatial_exponent(self):
         with pytest.raises(DomainError):

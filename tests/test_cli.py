@@ -1,7 +1,10 @@
 import json
+import pathlib
+import re
 import time
 
 from fracstep.cli import main
+from fracstep.harness import EXPERIMENTS
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +140,30 @@ class TestSweep:
         assert any(p.suffix == ".bin" for p in cache.iterdir())
         assert run_cli(capsys, *args, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_unset_parameters_come_from_the_desk_plan(self, tmp_path, capsys):
+        out_file = tmp_path / "exp1.json"
+        code, _, err = run_cli(
+            capsys, "sweep", "--experiment", "exp1", "--axis", "space",
+            "--nx", "4", "--levels", "2", "--nt", "16", "--ref-nx", "32",
+            "--ref-nt", "16", "--cache-dir", str(tmp_path / "cache"),
+            "--format", "json", "--output", str(out_file))
+        assert code == 0, err
+        assert json.loads(out_file.read_text())["meta"]["params"] == {"r": -0.8}
+
+
+class TestExperimentNames:
+    def test_help_and_readme_name_the_table_aliases(self, capsys):
+        aliases = {alias for entry in EXPERIMENTS.values() for alias in entry.aliases}
+        for command in ("solve", "sweep"):
+            code, out, _ = run_cli(capsys, command, "--help")
+            assert code == 0
+            block = re.search(r"--experiment EXPERIMENT\s+(.*?)\n  -", out, re.S)
+            assert set(re.split(r"[\s,|]+", block.group(1).strip())) == aliases
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        section = readme.read_text().split("## Experiments", 1)[1]
+        rows = re.findall(r"^\| (`.*?) \|", section, re.M)
+        assert set(re.findall(r"`([^`]+)`", " ".join(rows))) == aliases
 
 
 class TestConfigFile:

@@ -12,14 +12,13 @@ from fracstep.fracops import (
     fractional_integral_pairing_pwc,
     fractional_seminorm_pwc,
     integral_power_function,
-    pwc_left_integral,
-    pwc_right_integral,
     right_integral_power,
     riemann_liouville_derivative_power,
     riemann_liouville_integral_power,
     temporal_weights,
 )
 from fracstep.gammafn import gamma_fn
+from fracstep.properties import _pwc_left_integral
 
 # frozen via the quadrature oracle (see tests of fracstep.quadrature)
 INTEGRAL_06_POW_M049_AT_1 = 1.8349412268181371
@@ -230,16 +229,18 @@ class TestPointwiseEvaluators:
         values = np.array([2.0, 0.0, 0.0, 0.0])
         t = np.array([0.1, 0.2])
         expected = 2.0 * t ** 0.5 / gamma_fn(1.5)
-        assert np.allclose(pwc_left_integral(grid, values, 0.5, t), expected,
+        assert np.allclose(_pwc_left_integral(grid, values, 0.5, t), expected,
                            rtol=1e-13)
 
     def test_right_integral_mirror(self):
+        # the right integral at t is the left integral of the reversed values
+        # at 1 - t, and a uniform grid is its own mirror image
         grid = TemporalGrid.uniform(4, 1.0)
         values = np.array([0.0, 0.0, 0.0, 3.0])
         t = np.array([0.8, 0.9])
         expected = 3.0 * (1.0 - t) ** 0.5 / gamma_fn(1.5)
-        assert np.allclose(pwc_right_integral(grid, values, 0.5, t), expected,
-                           rtol=1e-13)
+        mirrored = _pwc_left_integral(grid, values[::-1], 0.5, 1.0 - t)
+        assert np.allclose(mirrored, expected, rtol=1e-13)
 
     def test_integral_pairing_positive(self):
         grid = TemporalGrid.uniform(6, 1.0)

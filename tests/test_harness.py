@@ -9,6 +9,7 @@ from fracstep import fem1d, solver
 from fracstep.errors import BudgetError, DomainError, NestingError
 from fracstep.fracops import TemporalGrid
 from fracstep.harness import (
+    EXPERIMENTS,
     ConvergenceTable,
     SweepPlan,
     default_plan,
@@ -215,6 +216,13 @@ class TestExperimentRegistry:
         assert spec3.sources[0].spatial_param == -0.49
         assert spec3.sources[0].temporal_exponent == -0.29
 
+    def test_required_and_unknown_parameters(self):
+        with pytest.raises(DomainError, match="mode"):
+            experiment_problem("spectral_test", 0.5)
+        assert experiment_problem("spectral_test", 0.5, mode=3).initial.mode == 3
+        with pytest.raises(DomainError, match="sigma"):
+            experiment_problem("experiment3", 0.8, sigma=0.3)
+
 
 class TestCache:
     def test_roundtrip_and_mismatch(self, tmp_path):
@@ -321,11 +329,12 @@ class TestTableFormats:
 
 class TestDefaultPlans:
     def test_all_registered_plans_validate(self):
-        for experiment in ("experiment1", "experiment2", "experiment3",
-                           "manufactured"):
-            for axis in ("space", "time"):
+        for experiment, entry in EXPERIMENTS.items():
+            for axis in entry.plans:
                 plan = default_plan(experiment, axis)
                 assert plan.levels
+                # the plan's data parameters are the experiment's own
+                assert set(plan.params) <= set(entry.params)
 
     def test_overrides(self):
         plan = default_plan("experiment1", "space", alpha=0.4, nx=16, count=2)

@@ -12,14 +12,14 @@ def experiment1_spec(alpha):
     return ProblemSpec(
         alpha=alpha,
         initial=InitialData(kind="power", scale=1.0, exponent=-0.8),
-        sources=(SourceTerm("power", -0.8, -0.49),), tag="check")
+        sources=(SourceTerm("power", -0.8, -0.49),))
 
 
 class TestSolve:
     def test_zero_data_zero_solution(self):
         grid = TemporalGrid.uniform(16, 1.0)
         mesh = fem1d.Mesh1D(8)
-        field, report = solver.solve(ProblemSpec(alpha=0.5, tag="check"), grid, mesh)
+        field, report = solver.solve(ProblemSpec(alpha=0.5), grid, mesh)
         assert np.all(field.values == 0.0)
         assert report.steps == 16
 
@@ -33,13 +33,13 @@ class TestSolve:
         grid = TemporalGrid.uniform(8, 2.0)
         mesh = fem1d.Mesh1D(8)
         with pytest.raises(DomainError):
-            solver.solve(ProblemSpec(alpha=0.5, tag="check"), grid, mesh)
+            solver.solve(ProblemSpec(alpha=0.5), grid, mesh)
 
     def test_causality_bit_identical(self):
         rng = np.random.default_rng(9)
         grid = TemporalGrid.uniform(12, 1.0)
         mesh = fem1d.Mesh1D(8)
-        spec = ProblemSpec(alpha=0.4, tag="check")
+        spec = ProblemSpec(alpha=0.4)
         loads = rng.uniform(-1.0, 1.0, size=(12, 7))
         base, _ = solver.solve(spec, grid, mesh, loads=loads)
         bumped = loads.copy()
@@ -55,7 +55,7 @@ class TestSolve:
         rng = np.random.default_rng(10)
         grid = TemporalGrid.uniform(300, 1.0)
         mesh = fem1d.Mesh1D(4)
-        spec = ProblemSpec(alpha=0.7, tag="check")
+        spec = ProblemSpec(alpha=0.7)
         loads = rng.uniform(-1.0, 1.0, size=(300, 3))
         base, _ = solver.solve(spec, grid, mesh, loads=loads)
         bumped = loads.copy()
@@ -66,7 +66,7 @@ class TestSolve:
 
     def test_zero_data_zero_solution_across_merges(self):
         grid = TemporalGrid.uniform(300, 1.0)
-        field, _ = solver.solve(ProblemSpec(alpha=0.5, tag="check"), grid,
+        field, _ = solver.solve(ProblemSpec(alpha=0.5), grid,
                                 fem1d.Mesh1D(4))
         assert np.all(field.values == 0.0)
 
@@ -124,7 +124,7 @@ class TestSpectralDecoupling:
         mesh = fem1d.Mesh1D(32)
         grid = TemporalGrid.uniform(128, 1.0)
         alpha, mode = 0.6, 1
-        spec = assembly.spectral_test_problem(mode, mesh, alpha)
+        spec = assembly.spectral_test_problem(mode, alpha)
         field, _ = solver.solve(spec, grid, mesh)
         lam = assembly.spectral_eigenvalue(mesh, mode)
         scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
@@ -135,7 +135,7 @@ class TestSpectralDecoupling:
     def test_higher_mode(self):
         mesh = fem1d.Mesh1D(16)
         grid = TemporalGrid.uniform(32, 1.0)
-        spec = assembly.spectral_test_problem(3, mesh, 0.4)
+        spec = assembly.spectral_test_problem(3, 0.4)
         field, _ = solver.solve(spec, grid, mesh)
         lam = assembly.spectral_eigenvalue(mesh, 3)
         predicted = np.outer(solver.scalar_solve(0.4, lam, grid, y0=1.0),
@@ -178,7 +178,7 @@ class TestBlockEquivalence:
             grid = TemporalGrid(nodes / nodes[-1])
         mesh = fem1d.Mesh1D(4)
         loads = rng.uniform(-1.0, 1.0, size=(129, 3))
-        marched, _ = solver.solve(ProblemSpec(alpha=alpha, tag="check"), grid,
+        marched, _ = solver.solve(ProblemSpec(alpha=alpha), grid,
                                   mesh, loads=loads)
         dense = solver.dense_block_solve(grid, mesh, alpha, loads)
         scale = np.max(np.abs(dense))
