@@ -191,8 +191,7 @@ def _run_solve(args) -> int:
                        "wall_time_s": report.wall_time},
         }
         text = json.dumps(obj, indent=2) + "\n"
-    if args.output is not None:
-        _write_output(args, text)
+    _write_output(args, text)
     return EXIT_OK
 
 

@@ -47,13 +47,18 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix stored as its (diag, off) bands."""
+    """Symmetric tridiagonal matrix stored as its (diag, off) bands.
+
+    ``matvec`` acts along the last axis.  Bands with a leading axis hold a
+    stack of matrices, one per row of the array they act on; ``factor``
+    takes a single matrix.
+    """
 
     diag: np.ndarray
     off: np.ndarray
 
     def __post_init__(self):
-        if len(self.off) != len(self.diag) - 1:
+        if np.shape(self.off)[-1] != np.shape(self.diag)[-1] - 1:
             raise DomainError("band lengths must be n, n-1")
 
     @property
@@ -62,8 +67,8 @@ class TridiagonalMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
+        y[..., :-1] += self.off * x[..., 1:]
+        y[..., 1:] += self.off * x[..., :-1]
         return y
 
     def quadform(self, x: np.ndarray) -> float:

@@ -39,6 +39,7 @@ CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 _CACHE_FORMAT = "4"
 
 DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
+ERROR_CHUNK = 1 << 16  # elements of a level-reference difference formed at once
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +283,55 @@ def space_time_error(coarse: solver.SpaceTimeField,
                      fine: solver.SpaceTimeField) -> tuple[float, float]:
     """(E1, E2) distances between nested discrete solutions, exactly.
 
-    The coarse field is prolonged to the fine mesh (exact for P1) and held
-    constant over the fine time intervals contained in each coarse interval,
-    so the space-time integrals reduce to fine mass/stiffness quadratic
-    forms weighted by the fine interval lengths.
+    The coarse field is prolonged to the fine mesh (exact for P1; skipped
+    when the meshes are equal) and held constant over the fine time
+    intervals of each coarse interval.  The fine values are read through a
+    ``(J_c, r, N)`` view and the difference is formed in chunks of about
+    ``ERROR_CHUNK`` elements, each row padded with its zero boundary values.
+    For a padded row ``d`` with ``s0 = sum d_i^2`` and ``g = sum (d_{i+1} -
+    d_i)^2``, the P1 mass and stiffness forms are ``h s0 - h g / 6`` and
+    ``g / h``, so
+
+        E1^2 = sum_k tau_k g_k / h,    E2^2 = h sum_k tau_k (s0_k - g_k / 6).
+
+    The stiffness form is a sum of squared first differences, free of the
+    cancellation in ``2 sum d_i^2 - 2 sum d_i d_{i+1}`` when ``d`` is smooth.
     """
-    ratio_t = fine.grid.num_steps // max(coarse.grid.num_steps, 1)
-    if ratio_t * coarse.grid.num_steps != fine.grid.num_steps:
+    num_coarse = coarse.grid.num_steps
+    ratio_t = fine.grid.num_steps // max(num_coarse, 1)
+    if ratio_t * num_coarse != fine.grid.num_steps:
         raise NestingError("time grids are not nested")
     if not np.allclose(fine.grid.nodes[::ratio_t], coarse.grid.nodes,
                        rtol=0.0, atol=1e-14 * fine.grid.final_time):
         raise NestingError("time grids do not share nodes")
-    prolonged = fem1d.prolong_rows(coarse.values, coarse.mesh, fine.mesh)
-    diff = np.repeat(prolonged, ratio_t, axis=0) - fine.values
-    mass = fem1d.assemble_mass(fine.mesh)
-    stiffness = fem1d.assemble_stiffness(fine.mesh)
-    tau = fine.grid.tau
-    e2 = math.sqrt(float(np.sum(tau * mass.quadform_rows(diff))))
-    e1 = math.sqrt(float(np.sum(tau * stiffness.quadform_rows(diff))))
+    n = fine.mesh.n_interior
+    same_mesh = coarse.mesh == fine.mesh
+    # a chunk is (rows coarse intervals) x (sub fine intervals) x (n + 2);
+    # a coarse interval too long for one chunk is split into equal parts
+    parts = -(-ratio_t * (n + 2) // ERROR_CHUNK)
+    sub = -(-ratio_t // parts)
+    rows = max(1, ERROR_CHUNK // (sub * (n + 2)))
+    padded = np.zeros((rows, sub, n + 2))
+    diffs = np.empty((rows, sub, n + 1))
+    fine_values = fine.values.reshape(num_coarse, ratio_t, n)
+    s0 = np.empty((num_coarse, ratio_t))
+    g = np.empty((num_coarse, ratio_t))
+    for j in range(0, num_coarse, rows):
+        block = coarse.values[j:j + rows]
+        if not same_mesh:
+            block = fem1d.prolong_rows(block, coarse.mesh, fine.mesh)
+        for i in range(0, ratio_t, sub):
+            d = padded[:len(block), :min(sub, ratio_t - i)]
+            delta = diffs[:d.shape[0], :d.shape[1]]
+            np.subtract(block[:, None, :], fine_values[j:j + rows, i:i + sub],
+                        out=d[..., 1:-1])
+            np.subtract(d[..., 1:], d[..., :-1], out=delta)
+            s0[j:j + rows, i:i + sub] = np.einsum("...k,...k->...", d, d)
+            g[j:j + rows, i:i + sub] = np.einsum("...k,...k->...", delta, delta)
+    tau = fine.grid.tau.reshape(num_coarse, ratio_t)
+    h = fine.mesh.h
+    e1 = math.sqrt(float(np.sum(tau * g)) / h)
+    e2 = math.sqrt(h * float(np.sum(tau * (s0 - g / 6.0))))
     return e1, e2
 
 

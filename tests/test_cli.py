@@ -53,6 +53,10 @@ class TestSolve:
             capsys, "solve", "--experiment", "spectral", "--alpha", "0.6",
             "--mode", "2", "--nx", "16", "--nt", "16")
         assert code == 0
+        # without --output the CSV follows the summary lines on stdout
+        lines = out.splitlines()
+        header = lines.index("x,u_final")
+        assert len(lines) - header - 1 == 17  # nx + 1 nodes
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--experiment", "exp1",

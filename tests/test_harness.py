@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fracstep import fem1d, solver
+from fracstep import fem1d, harness, solver
 from fracstep.errors import BudgetError, DomainError, NestingError
 from fracstep.fracops import TemporalGrid
 from fracstep.harness import (
@@ -72,6 +72,27 @@ class TestExpectedOrders:
         assert rates["E1"][0] == pytest.approx(0.7)
 
 
+def _graded_grid(num_steps):
+    return TemporalGrid((np.arange(num_steps + 1) / num_steps) ** 2)
+
+
+def _slow_space_time_error(coarse, fine):
+    """Oracle: repeat the interpolated coarse rows, dense quadratic forms per row."""
+    ratio = fine.grid.num_steps // coarse.grid.num_steps
+    coarse_nodes = np.arange(coarse.mesh.n_cells + 1) * coarse.mesh.h
+    interpolated = np.array([
+        np.interp(fine.mesh.interior_nodes, coarse_nodes, np.r_[0.0, row, 0.0])
+        for row in coarse.values])
+    diff = np.repeat(interpolated, ratio, axis=0) - fine.values
+    mass = fem1d.assemble_mass(fine.mesh).to_dense()
+    stiffness = fem1d.assemble_stiffness(fine.mesh).to_dense()
+    e1_sq = e2_sq = 0.0
+    for tau, row in zip(fine.grid.tau, diff):
+        e1_sq += tau * (row @ stiffness @ row)
+        e2_sq += tau * (row @ mass @ row)
+    return math.sqrt(e1_sq), math.sqrt(e2_sq)
+
+
 class TestSpaceTimeError:
     def test_self_comparison_is_zero(self):
         grid = TemporalGrid.uniform(8, 1.0)
@@ -111,6 +132,66 @@ class TestSpaceTimeError:
         direct = space_time_error(coarse, fine)
         lifted = space_time_error(injected, fine)
         assert direct == pytest.approx(lifted, rel=1e-13)
+
+    # 64 fine cells and 1040 fine steps leave the last chunk of the
+    # difference partly filled at every time ratio (1008, 504 and 126 coarse
+    # rows per chunk of 2^16 elements)
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("ratio_t", [1, 2, 8])
+    @pytest.mark.parametrize("ratio_h", [1, 4])
+    def test_matches_slow_oracle(self, graded, ratio_t, ratio_h):
+        num_fine, fine_mesh = 1040, fem1d.Mesh1D(64)
+        coarse_mesh = fem1d.Mesh1D(64 // ratio_h)
+        fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(num_fine)
+        coarse_grid = TemporalGrid(fine_grid.nodes[::ratio_t])
+        rows_per_chunk = harness.ERROR_CHUNK // (ratio_t * 65)
+        assert (num_fine // ratio_t) % rows_per_chunk != 0
+        rng = np.random.default_rng(ratio_t + 10 * ratio_h + 100 * graded)
+        coarse = solver.SpaceTimeField(
+            coarse_grid, coarse_mesh,
+            rng.uniform(-1.0, 1.0, size=(num_fine // ratio_t, coarse_mesh.n_interior)))
+        fine = solver.SpaceTimeField(
+            fine_grid, fine_mesh, rng.uniform(-1.0, 1.0, size=(num_fine, 63)))
+        fast = space_time_error(coarse, fine)
+        slow = _slow_space_time_error(coarse, fine)
+        assert fast == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+    def test_coarse_interval_split_across_chunks(self):
+        # 65 fine steps of 1025 padded nodes exceed one chunk, so each coarse
+        # interval is split into parts of 33 and 32 fine steps
+        fine_mesh, coarse_mesh = fem1d.Mesh1D(1024), fem1d.Mesh1D(256)
+        fine_grid = _graded_grid(130)
+        coarse_grid = TemporalGrid(fine_grid.nodes[::65])
+        assert 65 * 1025 > harness.ERROR_CHUNK
+        rng = np.random.default_rng(11)
+        coarse = solver.SpaceTimeField(coarse_grid, coarse_mesh,
+                                       rng.uniform(-1.0, 1.0, size=(2, 255)))
+        fine = solver.SpaceTimeField(fine_grid, fine_mesh,
+                                     rng.uniform(-1.0, 1.0, size=(130, 1023)))
+        fast = space_time_error(coarse, fine)
+        slow = _slow_space_time_error(coarse, fine)
+        assert fast == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble has no extended precision here")
+    def test_smooth_difference_has_no_cancellation(self):
+        # d^T K d = (2 sum d_i^2 - 2 sum d_i d_i+1) / h cancels about five
+        # digits for a smooth d on 1024 cells; the first-difference form
+        # must stay within rounding of an extended-precision evaluation
+        mesh = fem1d.Mesh1D(1024)
+        grid = _graded_grid(16)
+        rng = np.random.default_rng(4)
+        # values in [0.5, 1] make the float64 difference exact (Sterbenz)
+        base = rng.uniform(0.5, 1.0, size=(16, 1023))
+        smooth = 1e-3 * np.outer(np.arange(1, 17), np.sin(np.pi * mesh.interior_nodes))
+        coarse = solver.SpaceTimeField(grid, mesh, base)
+        fine = solver.SpaceTimeField(grid, mesh, base + smooth)
+        e1, _ = space_time_error(coarse, fine)
+
+        d = base.astype(np.longdouble) - fine.values.astype(np.longdouble)
+        quad = 2.0 * np.sum(d * d, axis=1) - 2.0 * np.sum(d[:, 1:] * d[:, :-1], axis=1)
+        exact = np.sqrt(np.sum(grid.tau.astype(np.longdouble) * quad) * 1024)
+        assert abs(e1 - float(exact)) <= 1e-14 * float(exact)
 
     def test_non_nested_rejected(self):
         mesh = fem1d.Mesh1D(8)

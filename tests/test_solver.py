@@ -3,7 +3,7 @@ import pytest
 
 from fracstep import assembly, fem1d, solver
 from fracstep.assembly import InitialData, ProblemSpec, SourceTerm
-from fracstep.errors import DomainError
+from fracstep.errors import DomainError, SolverError
 from fracstep.fracops import TemporalGrid, temporal_weights
 from fracstep.gammafn import gamma_fn
 
@@ -69,6 +69,32 @@ class TestSolve:
         field, _ = solver.solve(ProblemSpec(alpha=0.5), grid,
                                 fem1d.Mesh1D(4))
         assert np.all(field.values == 0.0)
+
+
+    # the checks run once per leaf; the first failing step, here one past
+    # step 64 with later steps of its leaf failing too, must be the one named
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_first_failing_residual_is_named(self, uniform):
+        rng = np.random.default_rng(29)
+        J = 200
+        if uniform:
+            grid = TemporalGrid.uniform(J, 1.0)
+        else:
+            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=J))])
+            grid = TemporalGrid(nodes / nodes[-1])
+        mesh = fem1d.Mesh1D(16)
+        spec = ProblemSpec(alpha=0.6)
+        loads = rng.uniform(-1.0, 1.0, size=(J, 15))
+        _, report = solver.solve(spec, grid, mesh, loads=loads)
+        res = report.residual_norms
+        step = next(k for k in range(solver.HISTORY_BLOCK + 1, J)
+                    if res[k] > np.max(res[:k]))
+        tol = float(np.max(res[:step]))
+        leaf_end = next(hi for lo, mid, hi in solver._causal_blocks(0, J)
+                        if mid == hi and lo <= step < hi)
+        assert np.count_nonzero(res[step:leaf_end] > tol) >= 2
+        with pytest.raises(SolverError, match=rf"^step {step} residual"):
+            solver.solve(spec, grid, mesh, loads=loads, residual_tol=tol)
 
 
 class TestHistorySum:
