@@ -163,12 +163,15 @@ def _run_solve(args) -> int:
         e1, e2 = spec.exact.error_norms(grid, mesh, field.values)
         errors = {"E1": e1, "E2": e2}
 
-    print(f"solved {tag}: alpha={format_float(alpha)} nx={nx} nt={nt}")
+    # the summary goes to stderr when stdout carries the CSV/JSON text
+    summary = sys.stdout if args.output is not None else sys.stderr
+    print(f"solved {tag}: alpha={format_float(alpha)} nx={nx} nt={nt}", file=summary)
     print(f"steps={report.steps} wall_s={report.wall_time:.3f} "
           f"max_residual={np.max(report.residual_norms):.3e} "
-          f"energy_gap={report.energy_gap:.3e}")
+          f"energy_gap={report.energy_gap:.3e}", file=summary)
     if errors is not None:
-        print(f"E1={format_float(errors['E1'])} E2={format_float(errors['E2'])}")
+        print(f"E1={format_float(errors['E1'])} E2={format_float(errors['E2'])}",
+              file=summary)
 
     x = np.concatenate([[0.0], mesh.interior_nodes, [1.0]])
     u = np.concatenate([[0.0], field.values[-1], [0.0]])

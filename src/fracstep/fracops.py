@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DomainError
 from .gammafn import gamma_fn
 
+DENSE_MERGE = 512  # longest history merge done as one dense product
+FFT_CHUNK = 1 << 16  # values per zero-padded buffer of an FFT history merge
+
 
 @dataclass(frozen=True)
 class PowerFunction:
@@ -224,6 +227,18 @@ class TemporalWeightMatrix:
         nodes = self.grid.nodes
         return (nodes[k + 1] ** mu - nodes[k] ** mu) / gamma_fn(2.0 - self.alpha)
 
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The dense block ``G[rows, cols]``, zero above the diagonal.
+
+        On a uniform grid it is gathered from the Toeplitz kernel by lag
+        ``k - j``; otherwise it is a slice of the stored lower triangle.
+        """
+        if self._kernel is None:
+            return self._dense[rows, cols]
+        steps = np.arange(self.num_steps)
+        lags = np.subtract.outer(steps[rows], steps[cols])
+        return np.where(lags >= 0, self._kernel[np.maximum(lags, 0)], 0.0)
+
     def history_dot(self, values: np.ndarray, k: int, start: int = 0) -> np.ndarray:
         """``sum_{start<=j<k} G[k, j] * values[j]`` along the leading axis."""
         return self.row(k)[start:k] @ values[start:k]
@@ -232,16 +247,26 @@ class TemporalWeightMatrix:
                       hi: int) -> np.ndarray:
         """Rows ``k`` in ``[mid, hi)`` of ``sum_{lo<=j<mid} G[k, j] * values[j]``.
 
-        On a uniform grid this is a Toeplitz product, evaluated as a circular
-        real FFT convolution of length ``n = hi - lo`` along time.  Every lag
-        ``k - j`` lies in ``1..n-1``, so no term wraps around.
+        Up to ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, this is
+        one dense product with :meth:`block`.  Longer uniform ranges are a
+        Toeplitz product, evaluated as a circular real FFT convolution of
+        length ``n`` with time as the contiguous axis, over about
+        ``FFT_CHUNK`` values of the past steps at a time, transposed and
+        zero-padded to length ``n``.  Every lag ``k - j`` lies in
+        ``1..n-1``, so no term wraps around.
         """
-        if self._kernel is None:
-            return self._dense[mid:hi, lo:mid] @ values[lo:mid]
         n = hi - lo
-        spectrum = (np.fft.rfft(self._kernel[:n])[:, None]
-                    * np.fft.rfft(values[lo:mid], n=n, axis=0))
-        return np.fft.irfft(spectrum, n=n, axis=0)[mid - lo:]
+        if self._kernel is None or n <= DENSE_MERGE:
+            return self.block(slice(mid, hi), slice(lo, mid)) @ values[lo:mid]
+        past = values[lo:mid]
+        cols = past.shape[1]
+        width = max(1, FFT_CHUNK // n)
+        kernel_spectrum = np.fft.rfft(self._kernel[:n])
+        out = np.empty((hi - mid, cols))
+        for c in range(0, cols, width):
+            spectrum = np.fft.rfft(past[:, c:c + width].T, n=n) * kernel_spectrum
+            out[:, c:c + width] = np.fft.irfft(spectrum, n=n)[:, mid - lo:].T
+        return out
 
     def dense(self) -> np.ndarray:
         """Materialize the full lower-triangular matrix (small J only)."""

@@ -36,7 +36,7 @@ ERROR_VS_EXACT = "exact"
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # change, so that entries written by earlier numerics are never served.
-_CACHE_FORMAT = "4"
+_CACHE_FORMAT = "5"
 
 DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 ERROR_CHUNK = 1 << 16  # elements of a level-reference difference formed at once
@@ -398,7 +398,7 @@ def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     meta_text = _cache_meta_text(meta)
     bin_path, meta_path = _cache_paths(cache_dir, meta_text)
-    _write_by_rename(bin_path, values.astype("<f8").tofile)
+    _write_by_rename(bin_path, np.asarray(values, dtype="<f8").tofile)
     _write_by_rename(meta_path, lambda fh: fh.write(meta_text.encode()))
 
 

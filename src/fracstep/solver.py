@@ -13,12 +13,17 @@ The history sum is split causally over the steps (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A range of more than
 ``HISTORY_BLOCK`` steps is halved: the first half is solved, its history
 contribution to every row of the second half is added in one batched
-product (an FFT convolution on uniform grids, a dense block otherwise), and
-the second half is solved.  Shorter ranges march step by step with the
-direct sum over the range.  Both grid kinds share this one loop, which costs
-O(N J log^2 J) on uniform grids instead of the naive O(N J^2).  The naive
-sum stays as the oracle: :func:`scalar_solve` and
-:func:`energy_identity_gap` use it, and the property suite compares the two.
+product (:meth:`TemporalWeightMatrix.history_block`: a dense block product
+up to ``fracops.DENSE_MERGE`` steps and on nonuniform grids, a chunked FFT
+convolution along time above it), and the second half is solved.  Shorter
+ranges, the leaves, march step by step: each leaf takes its dense weight
+block once, reads the diagonal weights from it and adds the history within
+the leaf as one row of that block times the leaf's solved steps.  Both grid
+kinds share this one loop, which costs O(N J log^2 J) on uniform grids
+instead of the naive O(N J^2).  The naive sum
+(:meth:`TemporalWeightMatrix.history_dot`) stays as the oracle:
+:func:`scalar_solve` and :func:`energy_identity_gap` use it, and the
+property suite compares the two.
 
 Each leaf keeps its steps' mass-weighted history rows in one buffer; after
 the leaf, the step residuals and both sides of the energy identity are
@@ -125,7 +130,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
             values[mid:hi] += weights.history_block(values, lo, mid, hi)
             continue
         steps = slice(lo, hi)
-        diag_weights = np.array([weights.diagonal(k) for k in range(lo, hi)])
+        near = weights.block(steps, steps)
+        diag_weights = near.diagonal()
         bad = np.flatnonzero(~(diag_weights > 0.0))
         if bad.size:
             raise SolverError(f"non-positive diagonal weight at step {lo + bad[0]}")
@@ -142,7 +148,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
             if factor is None or not uniform:
                 factor = fem1d.TridiagonalMatrix(step_matrices.diag[i],
                                                  step_matrices.off[i]).factor()
-            hist[i] = mass.matvec(values[k] + weights.history_dot(values, k, start=lo))
+            hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
             values[k] = factor.solve(loads[k] - hist[i])
 
         # residual and energy checks for the whole leaf
@@ -163,9 +169,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                 f"step {k} residual {residuals[k]:.3e} exceeds {residual_tol:.1e}")
         lhs_energy += float(np.vdot(u, hist + action))
         rhs_energy += float(np.vdot(u, loads[steps]))
-        # free the leaf's (B, N) arrays before the next merge, whose FFT
-        # buffers set the peak memory of the solve
-        del hist, rhs, action, step_matrices
+        # free the leaf's arrays before the next merge allocates its own
+        del near, hist, rhs, action, step_matrices
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
     report = SolveReport(steps=J, residual_norms=residuals,

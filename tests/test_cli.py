@@ -53,10 +53,19 @@ class TestSolve:
             capsys, "solve", "--experiment", "spectral", "--alpha", "0.6",
             "--mode", "2", "--nx", "16", "--nt", "16")
         assert code == 0
-        # without --output the CSV follows the summary lines on stdout
+        # without --output stdout holds the CSV and the summary goes to stderr
         lines = out.splitlines()
         header = lines.index("x,u_final")
         assert len(lines) - header - 1 == 17  # nx + 1 nodes
+
+    def test_json_on_stdout_parses(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--experiment", "spectral", "--alpha", "0.6",
+            "--mode", "2", "--nx", "16", "--nt", "16", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["nt"] == 16
+        assert err.startswith("solved spectral")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--experiment", "exp1",
@@ -174,10 +183,10 @@ class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("experiment=manufactured\nalpha=0.8\nnx=16\nnt=8\n")
-        code, out, _ = run_cli(capsys, "solve", "--config", str(cfg),
+        code, _, err = run_cli(capsys, "solve", "--config", str(cfg),
                                "--nt", "16")
         assert code == 0
-        assert "nt=16" in out
+        assert "nt=16" in err  # the summary line, on stderr without --output
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

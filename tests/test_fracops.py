@@ -5,6 +5,8 @@ import pytest
 
 from fracstep.errors import DomainError
 from fracstep.fracops import (
+    DENSE_MERGE,
+    FFT_CHUNK,
     PowerFunction,
     TemporalGrid,
     derivative_pairing_matrix,
@@ -162,6 +164,37 @@ class TestTemporalWeights:
                 assert block.shape == expected.shape
                 assert np.max(np.abs(block - expected)) <= \
                     1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_block_matches_dense_slices(self, uniform):
+        J = 40
+        grid = (TemporalGrid.uniform(J, 1.0) if uniform
+                else TemporalGrid((np.arange(J + 1) / J) ** 2))
+        weights = temporal_weights(grid, 0.4)
+        dense = weights.dense()
+        # a leaf, blocks below the diagonal, blocks straddling it, one above
+        for rows, cols in ((slice(8, 24), slice(8, 24)), (slice(20, 40), slice(0, 20)),
+                           (slice(5, 30), slice(10, 38)), (slice(0, 40), slice(0, 40)),
+                           (slice(3, 4), slice(0, 4)), (slice(0, 10), slice(30, 40))):
+            block = weights.block(rows, cols)
+            assert block.shape == dense[rows, cols].shape
+            assert np.array_equal(block, dense[rows, cols])
+
+    # merge lengths n = hi - lo on both sides of DENSE_MERGE, and column
+    # counts narrower than one FFT chunk, exactly one chunk, and several
+    # chunks with a partly filled last one
+    @pytest.mark.parametrize("cols", [3, FFT_CHUNK // 1100, 70])
+    def test_history_block_on_both_sides_of_dense_merge(self, cols):
+        assert 512 <= DENSE_MERGE < 1100
+        grid = TemporalGrid.uniform(1100, 1.0)
+        weights = temporal_weights(grid, 0.8)
+        dense = weights.dense()
+        values = np.random.default_rng(41).uniform(-1.0, 1.0, size=(1100, cols))
+        for lo, mid, hi in ((0, 550, 1100), (0, 256, 512), (37, 600, 1100)):
+            expected = dense[mid:hi, lo:mid] @ values[lo:mid]
+            block = weights.history_block(values, lo, mid, hi)
+            assert block.shape == expected.shape
+            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_alpha_out_of_range(self):
         grid = TemporalGrid.uniform(4, 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracstep import assembly, fem1d, solver
+from fracstep import assembly, fem1d, fracops, solver
 from fracstep.assembly import InitialData, ProblemSpec, SourceTerm
 from fracstep.errors import DomainError, SolverError
 from fracstep.fracops import TemporalGrid, temporal_weights
@@ -157,6 +157,20 @@ class TestSpectralDecoupling:
         predicted = np.outer(scalars, fem1d.sine_vector(mesh, mode))
         scale = np.max(np.abs(predicted))
         assert np.max(np.abs(field.values - predicted)) / scale <= 1e-10
+
+    def test_equals_scalar_times_sine_across_fft_merges(self):
+        # J = 2048 takes the n = 1024 and n = 2048 merges onto the FFT path;
+        # the naive-sum scalar recursion shares no code with those merges
+        assert solver.HISTORY_BLOCK < 1024 and fracops.DENSE_MERGE < 1024
+        mesh = fem1d.Mesh1D(8)
+        grid = TemporalGrid.uniform(2048, 1.0)
+        alpha, mode = 0.7, 2
+        field, _ = solver.solve(assembly.spectral_test_problem(mode, alpha), grid, mesh)
+        lam = assembly.spectral_eigenvalue(mesh, mode)
+        predicted = np.outer(solver.scalar_solve(alpha, lam, grid, y0=1.0),
+                             fem1d.sine_vector(mesh, mode))
+        scale = np.max(np.abs(predicted))
+        assert np.max(np.abs(field.values - predicted)) / scale <= 1e-12
 
     def test_higher_mode(self):
         mesh = fem1d.Mesh1D(16)
