@@ -2,7 +2,8 @@
 
 Flags use the experiment parameter names (alpha, r, c, sigma, nx, nt) so the
 mapping from a table row to a command stays legible.  An optional config
-file supplies flat ``key=value`` defaults; explicit flags override it.
+file supplies flat ``key=value`` defaults, where ``key`` is a flag name
+(``_`` may stand for ``-``); explicit flags override it.
 
 Exit codes: 0 success, 2 config error, 3 domain/precondition error,
 4 property-suite failure.
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import fem1d, harness, solver
-from .errors import BudgetError, FracstepError
+from .errors import FracstepError
 from .fracops import TemporalGrid
 from .harness import format_float, is_power_of_two
 from .properties import DEFAULT_SEED, run_property_suite
@@ -30,7 +31,8 @@ class ConfigError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fracstep",
         description="Space-time Galerkin solver for time-fractional diffusion")
@@ -70,10 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pverify = commands.add_parser("verify", help="run the property suite")
     pverify.add_argument("--config", help="flat key=value file with flag defaults")
     pverify.add_argument("--seed", type=int, help="property-suite seed")
-    return parser
+    return parser, commands.choices
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args: argparse.Namespace,
+                       command: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the file; ``key`` is cast and checked as ``--key``."""
     if getattr(args, "config", None) is None:
         return
     try:
@@ -88,17 +92,18 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in ("config", "command"):
+        action = command._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("config", "help"):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:  # flags override the file
-            caster = {"alpha": float, "r": float, "c": float, "sigma": float,
-                      "mode": int, "nx": int, "nt": int, "levels": int,
-                      "ref_nx": int, "ref_nt": int, "seed": int}.get(attr, str)
+        if getattr(args, action.dest) is None:  # flags override the file
             try:
-                setattr(args, attr, caster(value))
+                value = (action.type or str)(value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"bad value for {key!r}: {value!r} (choose from "
+                                  f"{', '.join(action.choices)})")
+            setattr(args, action.dest, value)
 
 
 def _require(args, name):
@@ -146,9 +151,6 @@ def _run_solve(args) -> int:
     nt = _require(args, "nt")
     if nx < 2 or nt < 1:
         raise ConfigError("need nx >= 2 and nt >= 1")
-    if nx * nt > harness.DEFAULT_BUDGET:
-        raise BudgetError(f"solve ({nx} cells, {nt} steps) exceeds the budget of "
-                          f"{harness.DEFAULT_BUDGET} space-time unknowns")
     for name, default in entry.params.items():
         if default is None:
             _require(args, name)
@@ -238,14 +240,14 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, commands[args.command])
         if args.command == "solve":
             return _run_solve(args)
         if args.command == "sweep":

@@ -22,4 +22,4 @@ class SolverError(FracstepError):
 
 
 class BudgetError(FracstepError):
-    """A sweep plan exceeds the configured resource budget."""
+    """A solve exceeds the budget of space-time unknowns."""

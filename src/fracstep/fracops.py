@@ -173,19 +173,21 @@ def _plus_power(x, mu: float) -> np.ndarray:
     return out
 
 
-def _four_corner(grid: TemporalGrid, mu: float) -> np.ndarray:
-    """Matrix ``C[k, j]`` of four-corner differences with exponent ``mu``.
+def _four_corner(grid: TemporalGrid, mu: float, rows=slice(None), cols=slice(None)):
+    """Block ``C[rows, cols]`` of four-corner differences with exponent ``mu``.
 
     ``C[k, j] = (t_{k+1}-t_j)_+^mu - (t_k-t_j)_+^mu - (t_{k+1}-t_{j+1})_+^mu
     + (t_k-t_{j+1})_+^mu`` for 0-based interval indices; every piecewise
     constant pairing in this module is such a matrix up to a gamma factor.
+    Entries are computed one by one, so a block is bitwise the same slice of
+    the full matrix; those with ``j > k`` are exact zeros.
     """
     upper = grid.nodes[1:]
     lower = grid.nodes[:-1]
-    a = _plus_power(upper[:, None] - lower[None, :], mu)
-    b = _plus_power(lower[:, None] - lower[None, :], mu)
-    c = _plus_power(upper[:, None] - upper[None, :], mu)
-    d = _plus_power(lower[:, None] - upper[None, :], mu)
+    a = _plus_power(upper[rows, None] - lower[None, cols], mu)
+    b = _plus_power(lower[rows, None] - lower[None, cols], mu)
+    c = _plus_power(upper[rows, None] - upper[None, cols], mu)
+    d = _plus_power(lower[rows, None] - upper[None, cols], mu)
     return a - b - c + d
 
 
@@ -195,31 +197,45 @@ class TemporalWeightMatrix:
 
     Entry ``(k, j)`` is the integral over interval ``k`` of the order-alpha
     derivative of the indicator of interval ``j``; it vanishes for ``j > k``.
-    Uniform grids get a Toeplitz kernel so that storage stays O(J).
+    A uniform grid stores its Toeplitz kernel (the FFT merges need it); any
+    other grid stores nothing, and :meth:`block` evaluates what is asked for.
     """
 
     grid: TemporalGrid
     alpha: float
     _kernel: np.ndarray | None = field(default=None, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_steps(self) -> int:
         return self.grid.num_steps
 
-    def row(self, k: int) -> np.ndarray:
-        """Entries ``G[k, 0..k]`` of row ``k``, a view of the stored weights."""
-        if self._kernel is not None:
-            return self._kernel[k::-1]
-        return self._dense[k, :k + 1]
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The dense block ``G[rows, cols]``, zero above the diagonal.
 
-    def diagonal(self, k: int) -> float:
-        return float(self.row(k)[k])
+        On a uniform grid it is gathered from the Toeplitz kernel by lag
+        ``k - j``; otherwise the four-corner formula is evaluated on just
+        these rows and columns.
+        """
+        if self._kernel is None:
+            return (_four_corner(self.grid, 1.0 - self.alpha, rows, cols)
+                    / gamma_fn(2.0 - self.alpha))
+        J = self.num_steps
+        lags = np.subtract.outer(np.arange(*rows.indices(J)),
+                                 np.arange(*cols.indices(J)))
+        return np.where(lags >= 0, self._kernel[np.maximum(lags, 0)], 0.0)
+
+    def row(self, k: int) -> np.ndarray:
+        return self.block(slice(k, k + 1), slice(0, k + 1))[0]
 
     def entry(self, k: int, j: int) -> float:
-        if j > k:
-            return 0.0
-        return float(self.row(k)[j])
+        return float(self.block(slice(k, k + 1), slice(j, j + 1))[0, 0])
+
+    def diagonal(self, k: int) -> float:
+        return self.entry(k, k)
+
+    def dense(self) -> np.ndarray:
+        """Materialize the full lower-triangular matrix (small J only)."""
+        return self.block(slice(None), slice(None))
 
     def row_sum(self, k: int) -> float:
         """Closed-form telescoped row sum ``(t_{k+1}^{1-a} - t_k^{1-a})/Gamma(2-a)``."""
@@ -227,74 +243,56 @@ class TemporalWeightMatrix:
         nodes = self.grid.nodes
         return (nodes[k + 1] ** mu - nodes[k] ** mu) / gamma_fn(2.0 - self.alpha)
 
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        """The dense block ``G[rows, cols]``, zero above the diagonal.
-
-        On a uniform grid it is gathered from the Toeplitz kernel by lag
-        ``k - j``; otherwise it is a slice of the stored lower triangle.
-        """
-        if self._kernel is None:
-            return self._dense[rows, cols]
-        steps = np.arange(self.num_steps)
-        lags = np.subtract.outer(steps[rows], steps[cols])
-        return np.where(lags >= 0, self._kernel[np.maximum(lags, 0)], 0.0)
-
-    def history_dot(self, values: np.ndarray, k: int, start: int = 0) -> np.ndarray:
-        """``sum_{start<=j<k} G[k, j] * values[j]`` along the leading axis."""
-        return self.row(k)[start:k] @ values[start:k]
+    def history_dot(self, values: np.ndarray, k: int) -> np.ndarray:
+        """``sum_{j<k} G[k, j] * values[j]`` along the leading axis."""
+        return self.row(k)[:k] @ values[:k]
 
     def history_block(self, values: np.ndarray, lo: int, mid: int,
                       hi: int) -> np.ndarray:
         """Rows ``k`` in ``[mid, hi)`` of ``sum_{lo<=j<mid} G[k, j] * values[j]``.
 
         Up to ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, this is
-        one dense product with :meth:`block`.  Longer uniform ranges are a
-        Toeplitz product, evaluated as a circular real FFT convolution of
-        length ``n`` with time as the contiguous axis, over about
-        ``FFT_CHUNK`` values of the past steps at a time, transposed and
-        zero-padded to length ``n``.  Every lag ``k - j`` lies in
-        ``1..n-1``, so no term wraps around.
+        a dense product with :meth:`block`, in row chunks of at most
+        ``FFT_CHUNK`` block values.  Longer uniform ranges are a Toeplitz
+        product, evaluated as a circular real FFT convolution of length ``n``
+        with time as the contiguous axis, over about ``FFT_CHUNK`` values of
+        the past steps at a time, transposed and zero-padded to length ``n``.
+        Every lag ``k - j`` lies in ``1..n-1``, so no term wraps around.
         """
         n = hi - lo
-        if self._kernel is None or n <= DENSE_MERGE:
-            return self.block(slice(mid, hi), slice(lo, mid)) @ values[lo:mid]
         past = values[lo:mid]
-        cols = past.shape[1]
+        out = np.empty((hi - mid, past.shape[1]))
+        if self._kernel is None or n <= DENSE_MERGE:
+            height = max(1, FFT_CHUNK // (mid - lo))
+            for r in range(mid, hi, height):
+                rows = self.block(slice(r, min(r + height, hi)), slice(lo, mid))
+                out[r - mid:r - mid + height] = rows @ past
+            return out
         width = max(1, FFT_CHUNK // n)
-        kernel_spectrum = np.fft.rfft(self._kernel[:n])
-        out = np.empty((hi - mid, cols))
-        for c in range(0, cols, width):
+        kernel_spectrum = np.fft.rfft(self.block(slice(0, n), slice(0, 1))[:, 0])
+        for c in range(0, past.shape[1], width):
             spectrum = np.fft.rfft(past[:, c:c + width].T, n=n) * kernel_spectrum
             out[:, c:c + width] = np.fft.irfft(spectrum, n=n)[:, mid - lo:].T
         return out
 
-    def dense(self) -> np.ndarray:
-        """Materialize the full lower-triangular matrix (small J only)."""
-        J = self.num_steps
-        out = np.zeros((J, J))
-        for k in range(J):
-            out[k, :k + 1] = self.row(k)
-        return out
-
 
 def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
-    """Assemble the causal weight matrix for the order-``alpha`` derivative.
+    """The causal weight matrix for the order-``alpha`` derivative.
 
-    On a uniform grid the entries depend only on ``k - j`` and the matrix is
-    stored as its Toeplitz kernel; otherwise the full lower triangle is built
-    from the four-corner formula.
+    On a uniform grid the entries depend only on ``k - j`` and the Toeplitz
+    kernel is computed here; on any other grid nothing is precomputed, and
+    :meth:`TemporalWeightMatrix.block` evaluates the four-corner formula on
+    the rows and columns it is asked for.
     """
     alpha = check_alpha(alpha)
+    if not grid.is_uniform():
+        return TemporalWeightMatrix(grid, alpha)
     mu = 1.0 - alpha
-    norm = gamma_fn(2.0 - alpha)
-    if grid.is_uniform():
-        tau = grid.final_time / grid.num_steps
-        d = np.arange(grid.num_steps, dtype=float)
-        kernel = (_plus_power(d + 1.0, mu) - 2.0 * _plus_power(d, mu)
-                  + _plus_power(d - 1.0, mu)) * tau ** mu / norm
-        return TemporalWeightMatrix(grid, alpha, _kernel=kernel)
-    dense = np.tril(_four_corner(grid, mu)) / norm
-    return TemporalWeightMatrix(grid, alpha, _dense=dense)
+    tau = grid.final_time / grid.num_steps
+    d = np.arange(grid.num_steps, dtype=float)
+    kernel = (_plus_power(d + 1.0, mu) - 2.0 * _plus_power(d, mu)
+              + _plus_power(d - 1.0, mu)) * tau ** mu / gamma_fn(2.0 - alpha)
+    return TemporalWeightMatrix(grid, alpha, _kernel=kernel)
 
 
 def derivative_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import assembly, fem1d, solver
-from .errors import BudgetError, DomainError, NestingError
+from .errors import DomainError, NestingError
 from .fracops import TemporalGrid, check_alpha
 
 AXIS_SPACE = "space"
@@ -38,7 +38,6 @@ CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # change, so that entries written by earlier numerics are never served.
 _CACHE_FORMAT = "5"
 
-DEFAULT_BUDGET = 1 << 24  # max J*N space-time unknowns per solve
 ERROR_CHUNK = 1 << 16  # elements of a level-reference difference formed at once
 
 
@@ -159,7 +158,6 @@ class SweepPlan:
     params: dict = dataclass_field(default_factory=dict)
     final_time: float = 1.0
     error_mode: str = ERROR_VS_REFERENCE
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.axis not in (AXIS_SPACE, AXIS_TIME):
@@ -406,11 +404,7 @@ def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _solve_level(spec, n_cells: int, num_steps: int, budget: int):
-    if n_cells * num_steps > budget:
-        raise BudgetError(
-            f"level ({n_cells} cells, {num_steps} steps) exceeds the budget of "
-            f"{budget} space-time unknowns")
+def _solve_level(spec, n_cells: int, num_steps: int):
     grid = TemporalGrid.uniform(num_steps, spec.final_time)
     mesh = fem1d.Mesh1D(n_cells)
     return solver.solve(spec, grid, mesh)
@@ -446,7 +440,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
                 TemporalGrid.uniform(ref_nt, spec.final_time),
                 fem1d.Mesh1D(ref_nx), cached)
         else:
-            reference_field, report = _solve_level(spec, ref_nx, ref_nt, plan.budget)
+            reference_field, report = _solve_level(spec, ref_nx, ref_nt)
             max_gap = max(max_gap, report.energy_gap)
             if cache_dir is not None:
                 store_reference(cache_dir, meta, reference_field.values)
@@ -454,7 +448,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     rows = []
     e1s, e2s = [], []
     for n_cells, num_steps in plan.levels:
-        level_field, report = _solve_level(spec, n_cells, num_steps, plan.budget)
+        level_field, report = _solve_level(spec, n_cells, num_steps)
         max_gap = max(max_gap, report.energy_gap)
         if plan.error_mode == ERROR_VS_REFERENCE:
             e1, e2 = space_time_error(level_field, reference_field)

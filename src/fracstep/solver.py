@@ -14,16 +14,17 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A range of more than
 ``HISTORY_BLOCK`` steps is halved: the first half is solved, its history
 contribution to every row of the second half is added in one batched
 product (:meth:`TemporalWeightMatrix.history_block`: a dense block product
-up to ``fracops.DENSE_MERGE`` steps and on nonuniform grids, a chunked FFT
-convolution along time above it), and the second half is solved.  Shorter
-ranges, the leaves, march step by step: each leaf takes its dense weight
-block once, reads the diagonal weights from it and adds the history within
-the leaf as one row of that block times the leaf's solved steps.  Both grid
-kinds share this one loop, which costs O(N J log^2 J) on uniform grids
-instead of the naive O(N J^2).  The naive sum
-(:meth:`TemporalWeightMatrix.history_dot`) stays as the oracle:
-:func:`scalar_solve` and :func:`energy_identity_gap` use it, and the
-property suite compares the two.
+in row chunks up to ``fracops.DENSE_MERGE`` steps and on nonuniform grids,
+a chunked FFT convolution along time above it), and the second half is
+solved.  Shorter ranges, the leaves, march step by step: each leaf takes
+its dense weight block once, reads the diagonal weights from it and adds
+the history within the leaf as one row of that block times the leaf's
+solved steps.  Both grid kinds share this one loop, which costs
+O(N J log^2 J) on uniform grids instead of the naive O(N J^2).  Weights
+are only ever read as such blocks, so on a nonuniform grid no J x J array
+exists.  The naive sum (:meth:`TemporalWeightMatrix.history_dot`) stays as
+the oracle: :func:`scalar_solve` and :func:`energy_identity_gap` use it,
+and the property suite compares the two.
 
 Each leaf keeps its steps' mass-weighted history rows in one buffer; after
 the leaf, the step residuals and both sides of the energy identity are
@@ -37,11 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, fem1d
-from .errors import DomainError, SolverError
+from .errors import BudgetError, DomainError, SolverError
 from .fracops import TemporalGrid, TemporalWeightMatrix, temporal_weights
 
 RESIDUAL_TOL = 1e-12
 HISTORY_BLOCK = 64  # longest step range marched with the direct history sum
+BUDGET = 1 << 24  # max J*N space-time unknowns (cells times steps) per solve
 
 
 @dataclass(frozen=True)
@@ -90,23 +92,22 @@ def _causal_blocks(lo: int, hi: int):
 
 
 def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
-          loads: np.ndarray | None = None,
-          weights: TemporalWeightMatrix | None = None,
-          residual_tol: float = RESIDUAL_TOL):
+          loads: np.ndarray | None = None, residual_tol: float = RESIDUAL_TOL):
     """March the space-time system; returns the field and a report.
 
-    Each step's linear residual is checked against ``residual_tol`` (relative
-    to the step right-hand side) once its leaf is marched; the Galerkin
-    energy identity is accumulated per leaf from explicitly computed matrix
-    actions and reported as a relative gap.
+    More than ``BUDGET`` cells times steps raise :class:`BudgetError` before
+    anything is allocated.  Each step's linear residual is checked against
+    ``residual_tol`` (relative to the step right-hand side) once its leaf is
+    marched; the Galerkin energy identity is accumulated per leaf from
+    explicitly computed matrix actions and reported as a relative gap.
     """
     if abs(grid.final_time - spec.final_time) > 1e-12 * spec.final_time:
         raise DomainError("grid horizon does not match the problem spec")
+    if mesh.n_cells * grid.num_steps > BUDGET:
+        raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
+                          f"exceeds the budget of {BUDGET} space-time unknowns")
     start = time.perf_counter()
-    if weights is None:
-        weights = temporal_weights(grid, spec.alpha)
-    elif not np.array_equal(weights.grid.nodes, grid.nodes):
-        raise DomainError("weight matrix was built on a different grid")
+    weights = temporal_weights(grid, spec.alpha)
     if loads is None:
         loads = assembly.assemble_load(spec, grid, mesh)
     J, N = grid.num_steps, mesh.n_interior
@@ -236,16 +237,9 @@ def dense_block_solve(grid: TemporalGrid, mesh: fem1d.Mesh1D, alpha: float,
     a dense solver; only sensible for small J and N.
     """
     J, N = grid.num_steps, mesh.n_interior
-    weights = temporal_weights(grid, alpha)
     mass = fem1d.assemble_mass(mesh).to_dense()
     stiffness = fem1d.assemble_stiffness(mesh).to_dense()
-    tau = grid.tau
-    big = np.zeros((J * N, J * N))
-    for k in range(J):
-        for j in range(k + 1):
-            block = weights.entry(k, j) * mass
-            if j == k:
-                block = block + tau[k] * stiffness
-            big[k * N:(k + 1) * N, j * N:(j + 1) * N] = block
+    big = (np.kron(temporal_weights(grid, alpha).dense(), mass)
+           + np.kron(np.diag(grid.tau), stiffness))
     flat = np.linalg.solve(big, loads.reshape(J * N))
     return flat.reshape(J, N)

@@ -195,6 +195,29 @@ class TestConfigFile:
         assert code == 2
         assert "banana" in err
 
+    def test_key_is_the_flag_name(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment=spectral\nalpha=0.6\nmode=2\nnx=16\nnt=16\n"
+                       "format=json\n")
+        code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["meta"]["nt"] == 16
+
+    def test_destination_name_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment=spectral\nalpha=0.6\nmode=2\nnx=16\nnt=16\n"
+                       "fmt=xml\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert "fmt" in err and out == ""
+
+    def test_value_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment=manufactured\naxis=diagonal\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "diagonal" in err
+
     def test_missing_file_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--config", "/nonexistent.cfg")
         assert code == 2

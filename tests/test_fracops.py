@@ -9,6 +9,7 @@ from fracstep.fracops import (
     FFT_CHUNK,
     PowerFunction,
     TemporalGrid,
+    _four_corner,
     derivative_pairing_matrix,
     derivative_pairing_pwc,
     fractional_integral_pairing_pwc,
@@ -195,6 +196,35 @@ class TestTemporalWeights:
             block = weights.history_block(values, lo, mid, hi)
             assert block.shape == expected.shape
             assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_nonuniform_weights_store_no_matrix(self):
+        J = 600
+        weights = temporal_weights(TemporalGrid((np.arange(J + 1) / J) ** 2), 0.6)
+        held = [value for obj in (weights, weights.grid)
+                for value in vars(obj).values() if isinstance(value, np.ndarray)]
+        assert held and max(array.size for array in held) <= J + 1
+
+    def test_graded_block_equals_four_corner_slices(self):
+        J, alpha = 90, 0.3
+        grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
+        weights = temporal_weights(grid, alpha)
+        full = np.tril(_four_corner(grid, 1.0 - alpha)) / gamma_fn(2.0 - alpha)
+        # a leaf, below, straddling and above the diagonal, one row, all
+        for rows, cols in ((slice(10, 74), slice(10, 74)), (slice(45, 90), slice(0, 45)),
+                           (slice(5, 60), slice(30, 88)), (slice(0, 20), slice(50, 90)),
+                           (slice(61, 62), slice(0, 62)), (slice(None), slice(None))):
+            block = weights.block(rows, cols)
+            assert block.tobytes() == np.ascontiguousarray(full[rows, cols]).tobytes()
+
+    def test_nonuniform_history_block_in_row_chunks(self):
+        J = 600
+        grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
+        weights = temporal_weights(grid, 0.7)
+        assert 300 * 300 > FFT_CHUNK  # more than one chunk of block rows
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(J, 4))
+        expected = weights.dense()[300:600, :300] @ values[:300]
+        block = weights.history_block(values, 0, 300, 600)
+        np.testing.assert_allclose(block, expected, rtol=1e-12)
 
     def test_alpha_out_of_range(self):
         grid = TemporalGrid.uniform(4, 1.0)

@@ -222,8 +222,9 @@ class TestSweepPlan:
         assert table.rows[0]["E2"] == 0.0
 
     def test_budget_enforced(self):
+        # the reference has 2^25 space-time unknowns, over the solver's bound
         plan = SweepPlan(experiment="experiment3", alpha=0.8, axis="space",
-                         levels=((8, 16),), reference=(64, 16), budget=256)
+                         levels=((8, 16),), reference=(8192, 4096))
         with pytest.raises(BudgetError):
             run_sweep(plan)
 

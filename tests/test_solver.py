@@ -3,7 +3,7 @@ import pytest
 
 from fracstep import assembly, fem1d, fracops, solver
 from fracstep.assembly import InitialData, ProblemSpec, SourceTerm
-from fracstep.errors import DomainError, SolverError
+from fracstep.errors import BudgetError, DomainError, SolverError
 from fracstep.fracops import TemporalGrid, temporal_weights
 from fracstep.gammafn import gamma_fn
 
@@ -33,6 +33,12 @@ class TestSolve:
         grid = TemporalGrid.uniform(8, 2.0)
         mesh = fem1d.Mesh1D(8)
         with pytest.raises(DomainError):
+            solver.solve(ProblemSpec(alpha=0.5), grid, mesh)
+
+    def test_over_budget_rejected_before_allocating(self):
+        grid = TemporalGrid.uniform(4096, 1.0)
+        mesh = fem1d.Mesh1D(2 * solver.BUDGET // 4096)
+        with pytest.raises(BudgetError, match="budget"):
             solver.solve(ProblemSpec(alpha=0.5), grid, mesh)
 
     def test_causality_bit_identical(self):
