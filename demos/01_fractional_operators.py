@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gamma as scipy_gamma
 
 from fracstep import PowerFunction, TemporalGrid, temporal_weights
+from fracstep.assembly import initial_time_factors
 from fracstep.fracops import (
     derivative_pairing_pwc,
     fractional_seminorm_pwc,
@@ -39,7 +40,7 @@ dense = weights.dense()
 np.set_printoptions(precision=6, suppress=False)
 print(dense)
 print(f"  row sums telescope: row 3 sum {dense[3].sum():.12f}"
-      f"  closed {weights.row_sum(3):.12f}")
+      f"  closed {initial_time_factors(grid, 0.5)[3]:.12f}")
 
 print()
 print("=== seminorm of the unit indicator on (0,1), gamma = 0.25 ===")

@@ -26,13 +26,10 @@ from .errors import (
 )
 from .fem1d import (
     Mesh1D,
-    SpatialField,
     TridiagonalMatrix,
     assemble_mass,
     assemble_stiffness,
-    field_norms,
     power_load_vector,
-    prolong,
     sine_load_vector,
 )
 from .fracops import (

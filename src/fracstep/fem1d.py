@@ -39,11 +39,6 @@ class Mesh1D:
     def interior_nodes(self) -> np.ndarray:
         return np.arange(1, self.n_cells) * self.h
 
-    def refine(self, factor: int) -> "Mesh1D":
-        if factor < 1:
-            raise DomainError("refinement factor must be >= 1")
-        return Mesh1D(self.n_cells * factor)
-
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
@@ -173,25 +168,8 @@ def pencil_eigenvalue(mesh: Mesh1D, mode: int) -> float:
     return 6.0 / (h * h) * (1.0 - c) / (2.0 + c)
 
 
-@dataclass(frozen=True)
-class SpatialField:
-    """P1 function vanishing at both ends, given by interior nodal values."""
-
-    mesh: Mesh1D
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        object.__setattr__(self, "coefficients", coeffs)
-        if coeffs.shape != (self.mesh.n_interior,):
-            raise DomainError(
-                f"expected {self.mesh.n_interior} coefficients, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("coefficients must be finite")
-
-
-def prolongation_stencil(coarse: Mesh1D, fine: Mesh1D):
-    """Index/weight arrays interpolating coarse interior values to fine nodes.
+def prolong_rows(values: np.ndarray, coarse: Mesh1D, fine: Mesh1D) -> np.ndarray:
+    """Prolong each row of a (m, N_coarse) array to the nested fine mesh.
 
     Fine node ``m i_c + s`` takes ``(1 - s/m) u[i_c] + (s/m) u[i_c + 1]``
     with zero boundary values; exact for P1 functions on nested meshes.
@@ -203,32 +181,7 @@ def prolongation_stencil(coarse: Mesh1D, fine: Mesh1D):
     fine_idx = np.arange(1, fine.n_cells)
     left = fine_idx // m
     weight = (fine_idx - m * left) / m
-    return left, weight
-
-
-def prolong_rows(values: np.ndarray, coarse: Mesh1D, fine: Mesh1D) -> np.ndarray:
-    """Prolong each row of a (m, N_coarse) array to the fine mesh."""
-    left, weight = prolongation_stencil(coarse, fine)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     padded = np.zeros((values.shape[0], coarse.n_cells + 1))
     padded[:, 1:-1] = values
     return (1.0 - weight) * padded[:, left] + weight * padded[:, left + 1]
-
-
-def prolong(field: SpatialField, fine: Mesh1D) -> SpatialField:
-    """Exact P1 interpolation of a field onto a nested finer mesh."""
-    row = prolong_rows(field.coefficients, field.mesh, fine)[0]
-    return SpatialField(fine, row)
-
-
-def field_norms(a: SpatialField, b: SpatialField) -> tuple[float, float]:
-    """L2 and H1(seminorm) distances between fields on nested meshes.
-
-    ``b`` must live on an integer refinement of ``a``'s mesh; ``a`` is
-    prolonged exactly and the norms of the difference are evaluated with the
-    fine mass and stiffness matrices, hence exactly for P1 data.
-    """
-    diff = prolong(a, b.mesh).coefficients - b.coefficients
-    mass = assemble_mass(b.mesh)
-    stiffness = assemble_stiffness(b.mesh)
-    return math.sqrt(mass.quadform(diff)), math.sqrt(stiffness.quadform(diff))

@@ -78,9 +78,9 @@ class TemporalGrid:
         """Interval lengths tau_j."""
         return np.diff(self.nodes)
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
         tau = self.tau
-        return bool(np.all(np.abs(tau - tau[0]) <= rtol * tau[0]))
+        return bool(np.all(np.abs(tau - tau[0]) <= 1e-12 * tau[0]))
 
 
 def check_alpha(alpha: float) -> float:
@@ -224,28 +224,13 @@ class TemporalWeightMatrix:
                                  np.arange(*cols.indices(J)))
         return np.where(lags >= 0, self._kernel[np.maximum(lags, 0)], 0.0)
 
-    def row(self, k: int) -> np.ndarray:
-        return self.block(slice(k, k + 1), slice(0, k + 1))[0]
-
-    def entry(self, k: int, j: int) -> float:
-        return float(self.block(slice(k, k + 1), slice(j, j + 1))[0, 0])
-
-    def diagonal(self, k: int) -> float:
-        return self.entry(k, k)
-
     def dense(self) -> np.ndarray:
         """Materialize the full lower-triangular matrix (small J only)."""
         return self.block(slice(None), slice(None))
 
-    def row_sum(self, k: int) -> float:
-        """Closed-form telescoped row sum ``(t_{k+1}^{1-a} - t_k^{1-a})/Gamma(2-a)``."""
-        mu = 1.0 - self.alpha
-        nodes = self.grid.nodes
-        return (nodes[k + 1] ** mu - nodes[k] ** mu) / gamma_fn(2.0 - self.alpha)
-
     def history_dot(self, values: np.ndarray, k: int) -> np.ndarray:
         """``sum_{j<k} G[k, j] * values[j]`` along the leading axis."""
-        return self.row(k)[:k] @ values[:k]
+        return self.block(slice(k, k + 1), slice(0, k))[0] @ values[:k]
 
     def history_block(self, values: np.ndarray, lo: int, mid: int,
                       hi: int) -> np.ndarray:

@@ -189,11 +189,6 @@ class SweepPlan:
                     "reference must be strictly finer than every swept level "
                     "on the refined axis")
 
-    def solves(self):
-        if self.error_mode == ERROR_VS_REFERENCE:
-            yield self.reference
-        yield from self.levels
-
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0

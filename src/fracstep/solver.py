@@ -22,9 +22,11 @@ the history within the leaf as one row of that block times the leaf's
 solved steps.  Both grid kinds share this one loop, which costs
 O(N J log^2 J) on uniform grids instead of the naive O(N J^2).  Weights
 are only ever read as such blocks, so on a nonuniform grid no J x J array
-exists.  The naive sum (:meth:`TemporalWeightMatrix.history_dot`) stays as
-the oracle: :func:`scalar_solve` and :func:`energy_identity_gap` use it,
-and the property suite compares the two.
+exists.  The naive sum stays in the oracles: :func:`scalar_solve` and
+:func:`energy_identity_gap` read one whole weight row ``G[k, :k+1]`` per
+step, and the property suite compares them and a naive dense march with
+this loop.  :meth:`TemporalWeightMatrix.history_dot` is kept only for the
+tests and the benchmark's tracer.
 
 Each leaf keeps its steps' mass-weighted history rows in one buffer; after
 the leaf, the step residuals and both sides of the energy identity are
@@ -92,12 +94,12 @@ def _causal_blocks(lo: int, hi: int):
 
 
 def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
-          loads: np.ndarray | None = None, residual_tol: float = RESIDUAL_TOL):
+          loads: np.ndarray | None = None):
     """March the space-time system; returns the field and a report.
 
     More than ``BUDGET`` cells times steps raise :class:`BudgetError` before
     anything is allocated.  Each step's linear residual is checked against
-    ``residual_tol`` (relative to the step right-hand side) once its leaf is
+    ``RESIDUAL_TOL`` (relative to the step right-hand side) once its leaf is
     marched; the Galerkin energy identity is accumulated per leaf from
     explicitly computed matrix actions and reported as a relative gap.
     """
@@ -163,11 +165,11 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
         scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
                            + np.linalg.norm(rhs, axis=1), 1e-300)
         residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
-        bad = np.flatnonzero(residuals[steps] > residual_tol)
+        bad = np.flatnonzero(residuals[steps] > RESIDUAL_TOL)
         if bad.size:
             k = lo + bad[0]
             raise SolverError(
-                f"step {k} residual {residuals[k]:.3e} exceeds {residual_tol:.1e}")
+                f"step {k} residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:.1e}")
         lhs_energy += float(np.vdot(u, hist + action))
         rhs_energy += float(np.vdot(u, loads[steps]))
         # free the leaf's arrays before the next merge allocates its own
@@ -201,8 +203,8 @@ def scalar_solve(alpha: float, lam: float, grid: TemporalGrid, y0: float,
     tau = grid.tau
     y = np.zeros(J)
     for k in range(J):
-        hist = float(weights.history_dot(y, k))
-        y[k] = (rhs[k] - hist) / (weights.diagonal(k) + tau[k] * lam)
+        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
+        y[k] = (rhs[k] - float(row[:k] @ y[:k])) / (row[k] + tau[k] * lam)
     return y
 
 
@@ -221,8 +223,8 @@ def energy_identity_gap(field: SpaceTimeField, weights: TemporalWeightMatrix,
     lhs = 0.0
     rhs = 0.0
     for k in range(field.grid.num_steps):
-        row_action = weights.history_dot(values, k) + weights.diagonal(k) * values[k]
-        action = mass.matvec(row_action)
+        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
+        action = mass.matvec(row @ values[:k + 1])
         action += tau[k] * stiffness.matvec(values[k])
         lhs += float(values[k] @ action)
         rhs += float(values[k] @ loads[k])
@@ -234,9 +236,13 @@ def dense_block_solve(grid: TemporalGrid, mesh: fem1d.Mesh1D, alpha: float,
     """Brute-force oracle: assemble and solve the full block system densely.
 
     Builds the (JN) x (JN) lower-block-triangular matrix explicitly and calls
-    a dense solver; only sensible for small J and N.
+    a dense solver; only sensible for small J and N.  More than ``BUDGET``
+    matrix entries raise :class:`BudgetError` before anything is allocated.
     """
     J, N = grid.num_steps, mesh.n_interior
+    if (J * N) ** 2 > BUDGET:
+        raise BudgetError(f"dense block system ({J} steps, {N} unknowns) exceeds "
+                          f"the budget of {BUDGET} matrix entries")
     mass = fem1d.assemble_mass(mesh).to_dense()
     stiffness = fem1d.assemble_stiffness(mesh).to_dense()
     big = (np.kron(temporal_weights(grid, alpha).dense(), mass)

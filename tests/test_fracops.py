@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstep.assembly import initial_time_factors
 from fracstep.errors import DomainError
 from fracstep.fracops import (
     DENSE_MERGE,
@@ -114,12 +115,12 @@ class TestRightIntegral:
 class TestTemporalWeights:
     def test_uniform_diag_and_first_offdiagonal(self):
         grid = TemporalGrid.uniform(6, 6.0)  # tau = 1
-        weights = temporal_weights(grid, 0.5)
-        assert weights.diagonal(3) == pytest.approx(WEIGHT_DIAG_HALF_TAU1, rel=1e-9)
-        assert weights.entry(3, 2) == pytest.approx(WEIGHT_OFF1_HALF_TAU1, rel=1e-9)
+        dense = temporal_weights(grid, 0.5).dense()
+        assert dense[3, 3] == pytest.approx(WEIGHT_DIAG_HALF_TAU1, rel=1e-9)
+        assert dense[3, 2] == pytest.approx(WEIGHT_OFF1_HALF_TAU1, rel=1e-9)
         # and the gamma-closed expressions
-        assert weights.diagonal(0) == pytest.approx(1.0 / gamma_fn(1.5), rel=1e-13)
-        assert weights.entry(4, 3) == pytest.approx(
+        assert dense[0, 0] == pytest.approx(1.0 / gamma_fn(1.5), rel=1e-13)
+        assert dense[4, 3] == pytest.approx(
             (2.0 ** 0.5 - 2.0) / gamma_fn(1.5), rel=1e-13)
 
     def test_rows_telescope_for_any_grid(self):
@@ -127,17 +128,14 @@ class TestTemporalWeights:
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=7))])
         grid = TemporalGrid(nodes)
         for alpha in (0.2, 0.5, 0.8):
-            weights = temporal_weights(grid, alpha)
-            for k in range(grid.num_steps):
-                total = sum(weights.entry(k, j) for j in range(k + 1))
-                assert total == pytest.approx(weights.row_sum(k), rel=1e-12)
+            totals = temporal_weights(grid, alpha).dense().sum(axis=1)
+            assert np.allclose(totals, initial_time_factors(grid, alpha),
+                               rtol=1e-12, atol=0.0)
 
     def test_strictly_lower_triangular_zero(self):
         grid = TemporalGrid.uniform(5, 1.0)
-        weights = temporal_weights(grid, 0.3)
-        for k in range(5):
-            for j in range(k + 1, 5):
-                assert weights.entry(k, j) == 0.0
+        dense = temporal_weights(grid, 0.3).dense()
+        assert np.all(dense[np.triu_indices(5, 1)] == 0.0)
 
     def test_toeplitz_on_uniform(self):
         grid = TemporalGrid.uniform(8, 1.0)
@@ -278,12 +276,9 @@ class TestPairingWeightEquivalence:
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=6))])
         grid = TemporalGrid(nodes)
         for alpha in (0.3, 0.6, 0.9):
-            dense_weights = temporal_weights(grid, alpha)
+            dense_weights = temporal_weights(grid, alpha).dense()
             pairing = derivative_pairing_matrix(grid, alpha / 2.0)
-            for k in range(grid.num_steps):
-                for j in range(grid.num_steps):
-                    assert pairing[k, j] == pytest.approx(
-                        dense_weights.entry(k, j), rel=1e-12, abs=1e-15)
+            assert np.allclose(pairing, dense_weights, rtol=1e-12, atol=1e-15)
 
 
 class TestPointwiseEvaluators:

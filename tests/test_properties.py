@@ -1,10 +1,11 @@
 import functools
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from fracstep import properties
+from fracstep import fracops, properties
 from fracstep.properties import run_property_suite
 
 
@@ -82,3 +83,18 @@ def test_second_suite_run_computes_as_many_rules(rule_spy):
     run_property_suite()
     second = {name: Counter(keys) for name, keys in rule_spy.items()}
     assert first and second == first
+
+
+def test_toeplitz_reads_one_dense_block_per_alpha(monkeypatch):
+    # the shift comparison reads the dense matrix the property already holds
+    calls = []
+    block = fracops.TemporalWeightMatrix.block
+
+    def spy(self, rows, cols):
+        calls.append((rows, cols))
+        return block(self, rows, cols)
+
+    monkeypatch.setattr(fracops.TemporalWeightMatrix, "block", spy)
+    result = properties.prop_toeplitz(np.random.default_rng(0))
+    assert result.passed
+    assert calls == [(slice(None), slice(None))] * 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestSolve:
     # the checks run once per leaf; the first failing step, here one past
     # step 64 with later steps of its leaf failing too, must be the one named
     @pytest.mark.parametrize("uniform", [True, False])
-    def test_first_failing_residual_is_named(self, uniform):
+    def test_first_failing_residual_is_named(self, uniform, monkeypatch):
         rng = np.random.default_rng(29)
         J = 200
         if uniform:
@@ -99,8 +101,9 @@ class TestSolve:
         leaf_end = next(hi for lo, mid, hi in solver._causal_blocks(0, J)
                         if mid == hi and lo <= step < hi)
         assert np.count_nonzero(res[step:leaf_end] > tol) >= 2
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", tol)
         with pytest.raises(SolverError, match=rf"^step {step} residual"):
-            solver.solve(spec, grid, mesh, loads=loads, residual_tol=tol)
+            solver.solve(spec, grid, mesh, loads=loads)
 
 
 class TestHistorySum:
@@ -116,7 +119,8 @@ class TestHistorySum:
         values = np.tile(np.arange(1.0, 8.0), (8, 1))
         k = 5
         hist = weights.history_dot(values, k)
-        factor = weights.row_sum(k) - weights.diagonal(k)
+        factor = (assembly.initial_time_factors(grid, 0.3)[k]
+                  - weights.dense()[k, k])
         assert np.allclose(hist, factor * values[0], rtol=1e-12)
 
     def test_matches_dense_block_product(self):
@@ -132,6 +136,24 @@ class TestHistorySum:
 
 
 class TestScalar:
+    def test_one_weight_row_per_step(self, monkeypatch):
+        calls = []
+        block = fracops.TemporalWeightMatrix.block
+
+        def spy(self, rows, cols):
+            calls.append((rows, cols))
+            return block(self, rows, cols)
+
+        monkeypatch.setattr(fracops.TemporalWeightMatrix, "block", spy)
+        grid = TemporalGrid.uniform(12, 1.0)
+        y = solver.scalar_solve(0.5, 2.0, grid, y0=1.0)
+        assert calls == [(slice(k, k + 1), slice(0, k + 1)) for k in range(12)]
+        monkeypatch.undo()
+        dense = temporal_weights(grid, 0.5).dense()
+        rhs = assembly.initial_time_factors(grid, 0.5)
+        residual = dense @ y + grid.tau * 2.0 * y - rhs
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
+
     def test_zero_data(self):
         grid = TemporalGrid.uniform(8, 1.0)
         y = solver.scalar_solve(0.5, 2.0, grid, y0=0.0)
@@ -229,6 +251,26 @@ class TestBlockEquivalence:
         dense = solver.dense_block_solve(grid, mesh, alpha, loads)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
+
+
+class TestDenseBlockBudget:
+    def test_over_budget_rejected_before_allocating(self, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("weights built before the budget check")
+
+        monkeypatch.setattr(solver, "temporal_weights", no_weights)
+        grid = TemporalGrid.uniform(4096, 1.0)
+        mesh = fem1d.Mesh1D(8)
+        loads = np.broadcast_to(0.0, (4096, 7))  # no memory of its own
+        assert (4096 * 7) ** 2 > solver.BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="budget"):
+                solver.dense_block_solve(grid, mesh, 0.5, loads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestEnergyIdentity:
