@@ -80,18 +80,18 @@ class InitialData:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full description of one solve: order, horizon and data."""
+    """Full description of one solve: order and data.
+
+    A spec carries no horizon; the temporal grid it is solved on sets ``T``.
+    """
 
     alpha: float
-    final_time: float = 1.0
     initial: InitialData | None = None
     sources: tuple[SourceTerm, ...] = ()
     exact: "ManufacturedSolution | None" = None
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if not self.final_time > 0.0:
-            raise DomainError("final time must be positive")
 
 
 def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
@@ -157,15 +157,8 @@ def assemble_load(spec: ProblemSpec, grid: TemporalGrid,
 class ManufacturedSolution:
     """Exact solution ``u = t^2 sin(pi x)`` and its space-time error norms."""
 
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-
     def __call__(self, x, t):
         return np.asarray(t, dtype=float) ** 2 * np.sin(math.pi * np.asarray(x))
-
-    def time_derivative_coefficient(self) -> float:
-        """Coefficient of ``t^(2-alpha)`` in the fractional time derivative."""
-        return 2.0 / gamma_fn(3.0 - self.alpha)
 
     def error_norms(self, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                     values: np.ndarray) -> tuple[float, float]:
@@ -196,32 +189,28 @@ class ManufacturedSolution:
         return math.sqrt(max(e1_sq, 0.0)), math.sqrt(max(e2_sq, 0.0))
 
 
-def manufactured_problem(alpha: float, final_time: float = 1.0) -> ProblemSpec:
+def manufactured_problem(alpha: float) -> ProblemSpec:
     """Zero initial value and the source whose exact solution is ``t^2 sin(pi x)``.
 
     The source is the fractional time derivative of the solution plus its
     negative Laplacian: ``[2/Gamma(3-alpha)] t^(2-alpha) sin(pi x)
     + pi^2 t^2 sin(pi x)``.
     """
-    exact = ManufacturedSolution(alpha)
     sources = (
-        SourceTerm(SPATIAL_SINE, 1, 2.0 - alpha, exact.time_derivative_coefficient()),
+        SourceTerm(SPATIAL_SINE, 1, 2.0 - alpha, 2.0 / gamma_fn(3.0 - alpha)),
         SourceTerm(SPATIAL_SINE, 1, 2.0, math.pi ** 2),
     )
-    return ProblemSpec(alpha=alpha, final_time=final_time, initial=None,
-                       sources=sources, exact=exact)
+    return ProblemSpec(alpha=alpha, sources=sources, exact=ManufacturedSolution())
 
 
-def spectral_test_problem(mode: int, alpha: float,
-                          final_time: float = 1.0) -> ProblemSpec:
+def spectral_test_problem(mode: int, alpha: float) -> ProblemSpec:
     """Nodal sine initial data with zero source; decouples onto one mode.
 
     The initial value enters through its mass-weighted load.  Modes at or
     above the mesh's ``n_cells`` alias to coarser ones (or to zero) and are
     rejected when the load is assembled.
     """
-    return ProblemSpec(alpha=alpha, final_time=final_time,
-                       initial=InitialData(kind="sine", mode=mode))
+    return ProblemSpec(alpha=alpha, initial=InitialData(kind="sine", mode=mode))
 
 
 def spectral_eigenvalue(mesh: fem1d.Mesh1D, mode: int) -> float:

@@ -156,7 +156,7 @@ def _run_solve(args) -> int:
             _require(args, name)
     params = _experiment_params(entry, args)
     mesh = fem1d.Mesh1D(nx)
-    grid = TemporalGrid.uniform(nt, 1.0)
+    grid = TemporalGrid.uniform(nt)
     spec = harness.experiment_problem(tag, alpha, **params)
     field, report = solver.solve(spec, grid, mesh)
 

@@ -1,11 +1,11 @@
 """Closed-form fractional calculus on power functions and piecewise constants.
 
-Everything here is exact in terms of the gamma function: left/right
-fractional integrals and derivatives of ``c (t-a)^sigma``, the causal
-temporal Galerkin weight matrix for piecewise constants, and the discrete
-fractional seminorm recovered from the left-right derivative pairing.  No
-discretized convolution kernels appear in this module; quadrature lives only
-in the independent oracle (:mod:`fracstep.quadrature`).
+Everything here is exact in terms of the gamma function: left fractional
+integrals and derivatives of ``c (t-a)^sigma``, the causal temporal Galerkin
+weight matrix for piecewise constants, and the discrete fractional seminorm
+recovered from the left-right derivative pairing.  No discretized
+convolution kernels appear in this module; quadrature lives only in the
+independent oracle (:mod:`fracstep.quadrature`).
 """
 
 import math
@@ -143,22 +143,6 @@ def riemann_liouville_derivative_power(p: PowerFunction, gamma: float, t: float)
     return float(derivative_power_function(p, gamma)(t))
 
 
-def right_integral_power(coefficient: float, exponent: float, endpoint: float,
-                         gamma: float, t: float) -> float:
-    """Right fractional integral of ``c (b-s)^sigma`` evaluated at ``t < b``.
-
-    Mirror of the left-sided rule: the result is
-    ``c Gamma(sigma+1)/Gamma(sigma+1+gamma) (b-t)^(sigma+gamma)``.
-    """
-    gamma = _ensure_order(gamma, 0.0, 2.0, "integral order")
-    if not exponent > -1.0:
-        raise DomainError(f"exponent must exceed -1, got {exponent}")
-    if not t < endpoint:
-        raise DomainError(f"evaluation point {t} must precede the endpoint {endpoint}")
-    coeff = coefficient * gamma_fn(exponent + 1.0) / gamma_fn(exponent + 1.0 + gamma)
-    return coeff * (endpoint - t) ** (exponent + gamma)
-
-
 # ---------------------------------------------------------------------------
 # piecewise-constant kernels
 # ---------------------------------------------------------------------------
@@ -291,7 +275,7 @@ def derivative_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:
     if not 0.0 < gamma < 0.5:
         raise DomainError(
             f"derivative pairing requires 0 < gamma < 1/2, got {gamma}")
-    return np.tril(_four_corner(grid, 1.0 - 2.0 * gamma)) / gamma_fn(2.0 - 2.0 * gamma)
+    return _four_corner(grid, 1.0 - 2.0 * gamma) / gamma_fn(2.0 - 2.0 * gamma)
 
 
 def integral_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:
@@ -301,25 +285,25 @@ def integral_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:
     into ``<I_left^{2 gamma} chi_j, chi_k>`` with the same four-corner shape.
     """
     gamma = _ensure_order(gamma, 0.0, 1.0, "integral order")
-    return np.tril(_four_corner(grid, 1.0 + 2.0 * gamma)) / gamma_fn(2.0 + 2.0 * gamma)
+    return _four_corner(grid, 1.0 + 2.0 * gamma) / gamma_fn(2.0 + 2.0 * gamma)
+
+
+def _pwc_pairing(pairing_matrix, grid: TemporalGrid, values, gamma: float) -> float:
+    """``v . P v`` for one value per interval and ``P = pairing_matrix(grid, gamma)``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.num_steps,):
+        raise DomainError("one value per grid interval required")
+    return float(values @ pairing_matrix(grid, gamma) @ values)
 
 
 def derivative_pairing_pwc(grid: TemporalGrid, values, gamma: float) -> float:
     """Bilinear pairing of the left/right derivatives of a piecewise constant."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.num_steps,):
-        raise DomainError("one value per grid interval required")
-    mat = derivative_pairing_matrix(grid, gamma)
-    return float(values @ mat @ values)
+    return _pwc_pairing(derivative_pairing_matrix, grid, values, gamma)
 
 
 def fractional_integral_pairing_pwc(grid: TemporalGrid, values, gamma: float) -> float:
     """Pairing ``<I_left^gamma v, I_right^gamma v>`` for piecewise-constant v."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.num_steps,):
-        raise DomainError("one value per grid interval required")
-    mat = integral_pairing_matrix(grid, gamma)
-    return float(values @ mat @ values)
+    return _pwc_pairing(integral_pairing_matrix, grid, values, gamma)
 
 
 def fractional_seminorm_pwc(grid: TemporalGrid, values, gamma: float) -> float:

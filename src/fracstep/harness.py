@@ -5,11 +5,14 @@ canonical tag, each record holds the CLI aliases, the data parameters with
 their defaults, a mesh-free spec builder and the desk-scale plan per axis;
 the CLI, the sweeps and the property suite all read it.
 
-A sweep solves a reference problem on a fine nested grid once, solves each
-coarser level once, and integrates the space-time errors exactly on the
-common refinement (the difference is piecewise constant in time and
-piecewise linear in space, so no sampling is involved).  Observed orders are
-base-2 logarithms of consecutive error ratios on dyadic levels.
+A sweep runs on the unit horizon ``T = 1``, the default of
+:meth:`TemporalGrid.uniform`.  A plan with a reference level solves that
+reference problem on a fine nested grid once, solves each coarser level
+once, and integrates the space-time errors exactly on the common refinement
+(the difference is piecewise constant in time and piecewise linear in space,
+so no sampling is involved).  A plan without one measures each level against
+the experiment's exact solution.  Observed orders are base-2 logarithms of
+consecutive error ratios on dyadic levels.
 
 Desk-scale defaults keep the reference resolutions modest; the sweeps check
 orders, not absolute error digits.
@@ -30,8 +33,6 @@ from .fracops import TemporalGrid, check_alpha
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
-ERROR_VS_REFERENCE = "reference"
-ERROR_VS_EXACT = "exact"
 
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
@@ -51,7 +52,7 @@ class Experiment:
 
     ``aliases`` are the names ``fracstep --experiment`` accepts.  ``params``
     maps each data parameter to its default, ``None`` where it is required.
-    ``build(alpha, final_time=1.0, **params)`` returns the mesh-free spec.
+    ``build(alpha, **params)`` returns the mesh-free spec.
     ``plans`` maps an axis to the desk-scale settings of :func:`default_plan`.
     """
 
@@ -61,33 +62,31 @@ class Experiment:
     plans: dict
 
 
-def _experiment1(alpha, final_time=1.0, *, r, sigma):
+def _experiment1(alpha, *, r, sigma):
     """Initial value ``x^r`` and source ``x^r t^-sigma``."""
     return assembly.ProblemSpec(
-        alpha=alpha, final_time=final_time,
-        initial=assembly.InitialData(kind="power", scale=1.0, exponent=r),
+        alpha=alpha, initial=assembly.InitialData(kind="power", scale=1.0, exponent=r),
         sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, r, -sigma),))
 
 
-def _experiment2(alpha, final_time=1.0, *, c):
+def _experiment2(alpha, *, c):
     """Initial value ``c x^-0.49`` (none for c = 0) and source ``x^-0.8 t^-0.49``."""
     initial = None
     if c != 0.0:
         initial = assembly.InitialData(kind="power", scale=c, exponent=-0.49)
     return assembly.ProblemSpec(
-        alpha=alpha, final_time=final_time, initial=initial,
+        alpha=alpha, initial=initial,
         sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.8, -0.49),))
 
 
-def _experiment3(alpha, final_time=1.0):
+def _experiment3(alpha):
     """Zero initial value and source ``x^-0.49 t^-0.29``."""
     return assembly.ProblemSpec(
-        alpha=alpha, final_time=final_time,
-        sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.49, -0.29),))
+        alpha=alpha, sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.49, -0.29),))
 
 
-def _spectral(alpha, final_time=1.0, *, mode):
-    return assembly.spectral_test_problem(mode, alpha, final_time)
+def _spectral(alpha, *, mode):
+    return assembly.spectral_test_problem(mode, alpha)
 
 
 # keyed by the canonical tag, which sweep metadata and cache keys carry
@@ -116,14 +115,13 @@ EXPERIMENTS = {
         plans={AXIS_SPACE: dict(alpha=0.8, params={}, nx=8, nt=1024, count=5,
                                 reference=(2048, 1024)),
                AXIS_TIME: dict(alpha=0.8, params={}, nx=256, nt=16, count=6,
-                               reference=None, error_mode=ERROR_VS_EXACT)}),
+                               reference=None)}),
     "spectral_test": Experiment(
         aliases=("spectral",), params={"mode": None}, build=_spectral, plans={}),
 }
 
 
-def experiment_problem(experiment: str, alpha: float, final_time: float = 1.0,
-                       **params) -> assembly.ProblemSpec:
+def experiment_problem(experiment: str, alpha: float, **params) -> assembly.ProblemSpec:
     """Construct the problem spec of a registered experiment tag.
 
     Parameters left out or given as ``None`` take the table's defaults; a
@@ -140,7 +138,7 @@ def experiment_problem(experiment: str, alpha: float, final_time: float = 1.0,
     for name, value in values.items():
         if value is None:
             raise DomainError(f"{experiment} needs the parameter {name!r}")
-    return entry.build(alpha, final_time, **values)
+    return entry.build(alpha, **values)
 
 # ---------------------------------------------------------------------------
 # sweep plans and tables
@@ -148,7 +146,11 @@ def experiment_problem(experiment: str, alpha: float, final_time: float = 1.0,
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One refinement study: problem, levels, reference, error mode."""
+    """One refinement study: problem, levels and the reference level.
+
+    Each level is measured against the reference's solution, or against the
+    experiment's exact solution when ``reference`` is ``None``.
+    """
 
     experiment: str
     alpha: float
@@ -156,19 +158,13 @@ class SweepPlan:
     levels: tuple[tuple[int, int], ...]  # (n_cells, num_steps) per level
     reference: tuple[int, int] | None
     params: dict = dataclass_field(default_factory=dict)
-    final_time: float = 1.0
-    error_mode: str = ERROR_VS_REFERENCE
 
     def __post_init__(self):
         if self.axis not in (AXIS_SPACE, AXIS_TIME):
             raise DomainError(f"axis must be 'space' or 'time', got {self.axis!r}")
-        if self.error_mode not in (ERROR_VS_REFERENCE, ERROR_VS_EXACT):
-            raise DomainError(f"unknown error mode {self.error_mode!r}")
         if not self.levels:
             raise DomainError("a sweep needs at least one level")
-        if self.error_mode == ERROR_VS_REFERENCE:
-            if self.reference is None:
-                raise DomainError("reference-based sweep needs a reference level")
+        if self.reference is not None:
             ref_nx, ref_nt = self.reference
             for nx, nt in self.levels:
                 if ref_nx % nx != 0 or ref_nt % nt != 0:
@@ -332,12 +328,6 @@ def space_time_error(coarse: solver.SpaceTimeField,
 # reference cache (flat little-endian float64 + text sidecar)
 # ---------------------------------------------------------------------------
 
-def cache_directory(explicit: str | None = None) -> str | None:
-    if explicit is not None:
-        return explicit
-    return os.environ.get(CACHE_ENV_VAR)
-
-
 def _cache_meta_text(meta: dict) -> str:
     lines = [f"{key}={format_float(value) if isinstance(value, float) else value}"
              for key, value in sorted(meta.items())]
@@ -351,8 +341,9 @@ def _cache_paths(cache_dir: str, meta_text: str) -> tuple[str, str]:
 
 
 def _reference_meta(plan: SweepPlan, n_cells: int, num_steps: int) -> dict:
+    # sweeps always run on T = 1; "T" stays in the key so cache names do not change
     meta = {"format": _CACHE_FORMAT, "experiment": plan.experiment,
-            "alpha": float(plan.alpha), "T": float(plan.final_time),
+            "alpha": float(plan.alpha), "T": 1.0,
             "n_cells": str(n_cells), "num_steps": str(num_steps)}
     for key in sorted(plan.params):
         meta[f"param_{key}"] = float(plan.params[key])
@@ -400,7 +391,7 @@ def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def _solve_level(spec, n_cells: int, num_steps: int):
-    grid = TemporalGrid.uniform(num_steps, spec.final_time)
+    grid = TemporalGrid.uniform(num_steps)
     mesh = fem1d.Mesh1D(n_cells)
     return solver.solve(spec, grid, mesh)
 
@@ -414,16 +405,17 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     variable.
     """
     start = time.perf_counter()
-    spec = experiment_problem(plan.experiment, plan.alpha,
-                              final_time=plan.final_time, **plan.params)
-    if plan.error_mode == ERROR_VS_EXACT and spec.exact is None:
-        raise DomainError(f"experiment {plan.experiment!r} has no exact solution")
+    spec = experiment_problem(plan.experiment, plan.alpha, **plan.params)
+    if plan.reference is None and spec.exact is None:
+        raise DomainError(f"experiment {plan.experiment!r} has no exact solution; "
+                          "the sweep needs a reference level")
 
-    cache_dir = cache_directory(cache_dir)
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV_VAR)
     max_gap = 0.0
 
     reference_field = None
-    if plan.error_mode == ERROR_VS_REFERENCE:
+    if plan.reference is not None:
         ref_nx, ref_nt = plan.reference
         shape = (ref_nt, ref_nx - 1)
         meta = _reference_meta(plan, ref_nx, ref_nt)
@@ -432,8 +424,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
             cached = load_cached_reference(cache_dir, meta, shape)
         if cached is not None:
             reference_field = solver.SpaceTimeField(
-                TemporalGrid.uniform(ref_nt, spec.final_time),
-                fem1d.Mesh1D(ref_nx), cached)
+                TemporalGrid.uniform(ref_nt), fem1d.Mesh1D(ref_nx), cached)
         else:
             reference_field, report = _solve_level(spec, ref_nx, ref_nt)
             max_gap = max(max_gap, report.energy_gap)
@@ -445,14 +436,14 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     for n_cells, num_steps in plan.levels:
         level_field, report = _solve_level(spec, n_cells, num_steps)
         max_gap = max(max_gap, report.energy_gap)
-        if plan.error_mode == ERROR_VS_REFERENCE:
+        if reference_field is not None:
             e1, e2 = space_time_error(level_field, reference_field)
         else:
             e1, e2 = spec.exact.error_norms(level_field.grid, level_field.mesh,
                                             level_field.values)
         e1s.append(e1)
         e2s.append(e2)
-        rows.append({"h": 1.0 / n_cells, "tau": spec.final_time / num_steps,
+        rows.append({"h": 1.0 / n_cells, "tau": 1.0 / num_steps,
                      "E1": e1, "order1": None, "E2": e2, "order2": None})
 
     if len(rows) >= 2 and all(e > 0.0 for e in e1s) and all(e > 0.0 for e in e2s):
@@ -460,15 +451,15 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
             rows[i]["order1"] = o1
             rows[i]["order2"] = o2
 
-    ref_nx, ref_nt = plan.reference if plan.reference is not None else (None, None)
+    ref_nx, ref_nt = plan.reference or (None, None)
     meta = {
         "alpha": plan.alpha,
         "experiment": plan.experiment,
         "params": {k: plan.params[k] for k in sorted(plan.params)},
         "h_ref": None if ref_nx is None else 1.0 / ref_nx,
-        "tau_ref": None if ref_nt is None else plan.final_time / ref_nt,
+        "tau_ref": None if ref_nt is None else 1.0 / ref_nt,
         "axis": plan.axis,
-        "error_mode": plan.error_mode,
+        "error_mode": "exact" if reference_field is None else "reference",
         "max_energy_gap": max_gap,
         "runtime_s": time.perf_counter() - start,
     }
@@ -511,5 +502,4 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
     return SweepPlan(
         experiment=experiment, alpha=alpha, axis=axis,
         levels=_geometric_levels(axis, nx, nt, count),
-        reference=reference, params=merged_params,
-        error_mode=cfg.get("error_mode", ERROR_VS_REFERENCE))
+        reference=reference, params=merged_params)

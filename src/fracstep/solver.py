@@ -103,8 +103,6 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     marched; the Galerkin energy identity is accumulated per leaf from
     explicitly computed matrix actions and reported as a relative gap.
     """
-    if abs(grid.final_time - spec.final_time) > 1e-12 * spec.final_time:
-        raise DomainError("grid horizon does not match the problem spec")
     if mesh.n_cells * grid.num_steps > BUDGET:
         raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
                           f"exceeds the budget of {BUDGET} space-time unknowns")

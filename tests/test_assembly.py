@@ -115,7 +115,7 @@ class TestManufactured:
 
     def test_time_derivative_coefficient_frozen(self):
         spec = manufactured_problem(0.8)
-        assert spec.exact.time_derivative_coefficient() == pytest.approx(
+        assert spec.sources[0].scale == pytest.approx(
             MANUFACTURED_COEFF_08, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])

@@ -4,7 +4,7 @@ import re
 import time
 
 from fracstep.cli import main
-from fracstep.harness import EXPERIMENTS
+from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +153,22 @@ class TestSweep:
         assert any(p.suffix == ".bin" for p in cache.iterdir())
         assert run_cli(capsys, *args, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_given_reference_replaces_the_exact_solution(self, tmp_path, capsys):
+        # the manufactured time plan measures against its exact solution by
+        # default; a reference level given on the command line takes over
+        out_file = tmp_path / "ref.json"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--experiment", "manufactured", "--axis", "time",
+            "--nx", "16", "--nt", "16", "--levels", "3", "--ref-nx", "16",
+            "--ref-nt", "256", "--format", "json", "--output", str(out_file))
+        assert code == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["meta"]["error_mode"] == "reference"
+        assert payload["meta"]["tau_ref"] == 2.0 ** -8
+        plan = default_plan("manufactured", "time", nx=16, nt=16, count=3,
+                            reference=(16, 256))
+        assert payload["rows"] == run_sweep(plan).rows
 
     def test_unset_parameters_come_from_the_desk_plan(self, tmp_path, capsys):
         out_file = tmp_path / "exp1.json"

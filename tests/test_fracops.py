@@ -16,7 +16,6 @@ from fracstep.fracops import (
     fractional_integral_pairing_pwc,
     fractional_seminorm_pwc,
     integral_power_function,
-    right_integral_power,
     riemann_liouville_derivative_power,
     riemann_liouville_integral_power,
     temporal_weights,
@@ -101,15 +100,6 @@ class TestDerivativePower:
             riemann_liouville_derivative_power(PowerFunction(1.0, 2.0), 1.2, 1.0)
         with pytest.raises(DomainError):
             riemann_liouville_derivative_power(PowerFunction(1.0, 2.0), 0.5, 0.0)
-
-
-class TestRightIntegral:
-    def test_mirror_rule(self):
-        # right integral of (1-s)^0 is (1-t)^gamma / Gamma(1+gamma)
-        value = right_integral_power(1.0, 0.0, 1.0, 0.5, 0.75)
-        assert value == pytest.approx(0.25 ** 0.5 / gamma_fn(1.5), rel=1e-13)
-        with pytest.raises(DomainError):
-            right_integral_power(1.0, 0.0, 1.0, 0.5, 1.0)
 
 
 class TestTemporalWeights:

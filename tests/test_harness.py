@@ -251,8 +251,7 @@ class TestRunSweep:
     def test_exact_mode_requires_handle(self):
         with pytest.raises(DomainError):
             run_sweep(SweepPlan(experiment="experiment3", alpha=0.8, axis="time",
-                                levels=((16, 8),), reference=None,
-                                error_mode="exact"))
+                                levels=((16, 8),), reference=None))
 
     def test_reference_invariance_of_orders(self):
         # one more dyadic reference level shifts manufactured orders < 0.05

@@ -31,11 +31,16 @@ class TestSolve:
         field, report = solver.solve(experiment1_spec(0.3), grid, mesh)
         assert np.max(report.residual_norms) <= 1e-12
 
-    def test_grid_horizon_mismatch_rejected(self):
-        grid = TemporalGrid.uniform(8, 2.0)
+    def test_horizon_set_by_grid(self):
+        # the spec carries no horizon: T = 2 comes from the grid alone
+        grid = TemporalGrid.uniform(12, 2.0)
         mesh = fem1d.Mesh1D(8)
-        with pytest.raises(DomainError):
-            solver.solve(ProblemSpec(alpha=0.5), grid, mesh)
+        spec = experiment1_spec(0.5)
+        marched, _ = solver.solve(spec, grid, mesh)
+        loads = assembly.assemble_load(spec, grid, mesh)
+        dense = solver.dense_block_solve(grid, mesh, 0.5, loads)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
     def test_over_budget_rejected_before_allocating(self):
         grid = TemporalGrid.uniform(4096, 1.0)
