@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the resource budget."""
+
+BUDGET = 1 << 24  # max J*N unknowns of a solve, and max entries of a dense array
 
 
 class FracstepError(Exception):
@@ -22,4 +24,4 @@ class SolverError(FracstepError):
 
 
 class BudgetError(FracstepError):
-    """A solve exceeds the budget of space-time unknowns."""
+    """A solve or a dense array would exceed ``BUDGET``."""

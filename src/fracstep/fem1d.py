@@ -16,6 +16,8 @@ from scipy.linalg import lapack
 
 from .errors import DomainError, NestingError, SolverError
 
+ERROR_CHUNK = 1 << 16  # elements of difference rows formed at once for band_sums
+
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -143,13 +145,17 @@ def power_load_vector(mesh: Mesh1D, r: float) -> np.ndarray:
 
 
 def sine_load_vector(mesh: Mesh1D, mode: int) -> np.ndarray:
-    """Moments ``int_0^1 sin(m pi x) phi_i dx`` in closed form."""
-    if mode < 1:
-        raise DomainError(f"sine mode must be >= 1, got {mode}")
+    """Moments ``int_0^1 sin(m pi x) phi_i dx`` in closed form.
+
+    The moment is ``4 sin^2(k h / 2) / (h k^2)`` times the nodal sine, with
+    ``k = m pi``; the half-angle form avoids the cancellation in
+    ``1 - cos(k h)``.
+    """
+    values = sine_vector(mesh, mode)
     k = mode * math.pi
     h = mesh.h
-    factor = 2.0 * (1.0 - math.cos(k * h)) / (h * k * k)
-    return factor * np.sin(k * mesh.interior_nodes)
+    factor = 4.0 * math.sin(0.5 * k * h) ** 2 / (h * k * k)
+    return factor * values
 
 
 def sine_vector(mesh: Mesh1D, mode: int) -> np.ndarray:
@@ -166,6 +172,21 @@ def pencil_eigenvalue(mesh: Mesh1D, mode: int) -> float:
     h = mesh.h
     c = math.cos(mode * math.pi * h)
     return 6.0 / (h * h) * (1.0 - c) / (2.0 + c)
+
+
+def band_sums(padded: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sums ``s0 = sum d_i^2`` and ``g = sum (d_{i+1} - d_i)^2``.
+
+    ``padded`` holds rows ``d`` of nodal values with their zero boundary
+    values on both ends (last axis ``n + 1`` long for ``n`` cells);
+    ``diffs``, one shorter on the last axis, receives the first differences.
+    The P1 mass and stiffness forms of such a row are ``h s0 - h g / 6`` and
+    ``g / h``.  Both sums are of squares, so neither cancels, unlike
+    ``2 sum d_i^2 - 2 sum d_i d_{i+1}`` for a smooth ``d``.
+    """
+    np.subtract(padded[..., 1:], padded[..., :-1], out=diffs)
+    return (np.einsum("...k,...k->...", padded, padded),
+            np.einsum("...k,...k->...", diffs, diffs))
 
 
 def prolong_rows(values: np.ndarray, coarse: Mesh1D, fine: Mesh1D) -> np.ndarray:

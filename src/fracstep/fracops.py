@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BUDGET, BudgetError, DomainError
 from .gammafn import gamma_fn
 
 DENSE_MERGE = 512  # longest history merge done as one dense product
@@ -209,7 +209,15 @@ class TemporalWeightMatrix:
         return np.where(lags >= 0, self._kernel[np.maximum(lags, 0)], 0.0)
 
     def dense(self) -> np.ndarray:
-        """Materialize the full lower-triangular matrix (small J only)."""
+        """Materialize the full lower-triangular matrix.
+
+        More than ``BUDGET`` entries raise :class:`BudgetError` before
+        anything is allocated.
+        """
+        J = self.num_steps
+        if J * J > BUDGET:
+            raise BudgetError(f"dense weight matrix ({J} steps) exceeds the "
+                              f"budget of {BUDGET} matrix entries")
         return self.block(slice(None), slice(None))
 
     def history_dot(self, values: np.ndarray, k: int) -> np.ndarray:

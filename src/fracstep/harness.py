@@ -29,6 +29,7 @@ import numpy as np
 
 from . import assembly, fem1d, solver
 from .errors import DomainError, NestingError
+from .fem1d import ERROR_CHUNK
 from .fracops import TemporalGrid, check_alpha
 
 AXIS_SPACE = "space"
@@ -37,9 +38,7 @@ AXIS_TIME = "time"
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # change, so that entries written by earlier numerics are never served.
-_CACHE_FORMAT = "5"
-
-ERROR_CHUNK = 1 << 16  # elements of a level-reference difference formed at once
+_CACHE_FORMAT = "6"
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +275,11 @@ def space_time_error(coarse: solver.SpaceTimeField,
     when the meshes are equal) and held constant over the fine time
     intervals of each coarse interval.  The fine values are read through a
     ``(J_c, r, N)`` view and the difference is formed in chunks of about
-    ``ERROR_CHUNK`` elements, each row padded with its zero boundary values.
-    For a padded row ``d`` with ``s0 = sum d_i^2`` and ``g = sum (d_{i+1} -
-    d_i)^2``, the P1 mass and stiffness forms are ``h s0 - h g / 6`` and
-    ``g / h``, so
+    ``ERROR_CHUNK`` elements, each row padded with its zero boundary values
+    and reduced to its band sums ``s0`` and ``g`` by :func:`fem1d.band_sums`,
+    so that
 
         E1^2 = sum_k tau_k g_k / h,    E2^2 = h sum_k tau_k (s0_k - g_k / 6).
-
-    The stiffness form is a sum of squared first differences, free of the
-    cancellation in ``2 sum d_i^2 - 2 sum d_i d_{i+1}`` when ``d`` is smooth.
     """
     num_coarse = coarse.grid.num_steps
     ratio_t = fine.grid.num_steps // max(num_coarse, 1)
@@ -314,9 +309,8 @@ def space_time_error(coarse: solver.SpaceTimeField,
             delta = diffs[:d.shape[0], :d.shape[1]]
             np.subtract(block[:, None, :], fine_values[j:j + rows, i:i + sub],
                         out=d[..., 1:-1])
-            np.subtract(d[..., 1:], d[..., :-1], out=delta)
-            s0[j:j + rows, i:i + sub] = np.einsum("...k,...k->...", d, d)
-            g[j:j + rows, i:i + sub] = np.einsum("...k,...k->...", delta, delta)
+            cells = (slice(j, j + rows), slice(i, i + sub))
+            s0[cells], g[cells] = fem1d.band_sums(d, delta)
     tau = fine.grid.tau.reshape(num_coarse, ratio_t)
     h = fine.mesh.h
     e1 = math.sqrt(float(np.sum(tau * g)) / h)

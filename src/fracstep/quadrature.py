@@ -51,9 +51,13 @@ def _check_interval(a, b, p, q):
     return a, b
 
 
-def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
-                      atol=0.0, max_order=_MAX_ORDER, rules=roots_jacobi):
+def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
+                      rules=roots_jacobi):
     """Integrate ``(t-a)^p (b-t)^q * smooth(t)`` over ``(a, b)``.
+
+    Rule orders double from ``_MIN_ORDER`` until two consecutive estimates
+    agree to ``DEFAULT_RTOL``; ``QuadratureError`` once ``_MAX_ORDER`` nodes
+    are exceeded.
 
     Parameters
     ----------
@@ -65,14 +69,10 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
         Vectorized factor evaluated at the quadrature nodes.  Defaults to 1.
         It must be smooth on ``[a, b]``; endpoint singularities belong in
         ``p``/``q``.
-    rtol : float
-        Relative agreement required between consecutive rule orders; like
-        ``atol``, finite and nonnegative.
     atol : float
-        Absolute agreement floor; needed when the integral itself can be
-        zero up to roundoff (a relative test never terminates on noise).
-    max_order : int
-        Node budget; ``QuadratureError`` if agreement is not reached.
+        Absolute agreement floor, finite and nonnegative; needed when the
+        integral itself can be zero up to roundoff (a relative test never
+        terminates on noise).
     rules : callable
         ``rules(n, alpha, beta)`` returns the nodes and weights of the
         ``n``-point Gauss-Jacobi rule, as :func:`scipy.special.roots_jacobi`.
@@ -82,9 +82,8 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
     float
     """
     a, b = _check_interval(a, b, p, q)
-    for name, value in (("rtol", rtol), ("atol", atol)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise DomainError(f"atol must be finite and nonnegative, got {atol}")
 
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -92,20 +91,20 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, rtol=DEFAULT_RTOL,
 
     previous = None
     n = _MIN_ORDER
-    while n <= max_order:
+    while n <= _MAX_ORDER:
         # roots_jacobi weight is (1-x)^alpha (1+x)^beta; t-a maps to (1+x)
         x, w = rules(n, q, p)
         t = mid + half * x
         vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
         estimate = scale * float(np.sum(vals))
         if previous is not None:
-            tol = max(rtol * max(abs(estimate), abs(previous)), atol, 1e-300)
+            tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
             if abs(estimate - previous) <= tol:
                 return estimate
         previous = estimate
         n *= 2
     raise QuadratureError(
-        f"no convergence to rtol={rtol} within {max_order} nodes on ({a}, {b})")
+        f"no convergence to rtol={DEFAULT_RTOL} within {_MAX_ORDER} nodes on ({a}, {b})")
 
 
 def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,

@@ -40,12 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, fem1d
-from .errors import BudgetError, DomainError, SolverError
+from .errors import BUDGET, BudgetError, DomainError, SolverError
 from .fracops import TemporalGrid, TemporalWeightMatrix, temporal_weights
 
 RESIDUAL_TOL = 1e-12
 HISTORY_BLOCK = 64  # longest step range marched with the direct history sum
-BUDGET = 1 << 24  # max J*N space-time unknowns (cells times steps) per solve
 
 
 @dataclass(frozen=True)

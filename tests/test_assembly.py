@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import fem1d
+from fracstep import fem1d, solver
 from fracstep.assembly import (
     InitialData,
     ProblemSpec,
@@ -21,6 +21,8 @@ from fracstep.errors import DomainError
 from fracstep.fracops import PowerFunction, TemporalGrid, derivative_power_function
 from fracstep.gammafn import gamma_fn
 from fracstep.quadrature import fixed_order_integral
+
+from decimal_oracle import manufactured_error_norms
 
 # frozen via the quadrature oracle
 TIME_FACTOR_HALF_TAU1 = 1.1283791670955126
@@ -194,6 +196,31 @@ class TestManufactured:
                     [space_h1_sq(values[k], ti) for ti in np.atleast_1d(t)]),
                 order=40)
         assert e1 == pytest.approx(math.sqrt(e1_sq), rel=1e-10)
+
+    def test_error_norms_of_solve_against_decimal_oracle(self):
+        grid = TemporalGrid.uniform(128)
+        mesh = fem1d.Mesh1D(256)
+        spec = manufactured_problem(0.8)
+        field, _ = solver.solve(spec, grid, mesh)
+        e1, e2 = spec.exact.error_norms(grid, mesh, field.values)
+        oracle_e1, oracle_e2 = manufactured_error_norms(field.values, 128)
+        assert e1 == pytest.approx(oracle_e1, rel=1e-11, abs=0.0)
+        assert e2 == pytest.approx(oracle_e2, rel=1e-11, abs=0.0)
+
+    def test_error_norms_of_mean_interpolant_against_decimal_oracle(self):
+        # U_k = m_k I_h s makes the discrete E1 band term vanish: only the
+        # temporal variance and the interpolation defect are left.  The rows
+        # are reduced in three chunks.
+        grid = TemporalGrid.uniform(128)
+        mesh = fem1d.Mesh1D(1024)
+        assert 128 * 1025 > 2 * fem1d.ERROR_CHUNK
+        lo, hi = grid.nodes[:-1], grid.nodes[1:]
+        mean = (lo * lo + lo * hi + hi * hi) / 3.0
+        values = np.outer(mean, fem1d.sine_vector(mesh, 1))
+        e1, e2 = manufactured_problem(0.8).exact.error_norms(grid, mesh, values)
+        oracle_e1, oracle_e2 = manufactured_error_norms(values, 128)
+        assert e1 == pytest.approx(oracle_e1, rel=1e-11, abs=0.0)
+        assert e2 == pytest.approx(oracle_e2, rel=1e-11, abs=0.0)
 
 
 class TestSpectral:

@@ -17,6 +17,8 @@ from fracstep.fem1d import (
     sine_vector,
 )
 
+from decimal_oracle import sine_moments
+
 # frozen via the quadrature oracle
 POWER_LOAD_M099_N8 = np.array([
     1.3489914666202574, 0.5156866623407721, 0.3363840972830402,
@@ -147,6 +149,16 @@ class TestLoads:
         load = sine_load_vector(mesh, 1)
         assert load[0] == pytest.approx(load[2], rel=1e-14)
         assert load[1] == pytest.approx(SINE_LOAD_M1_N4_MIDDLE, rel=1e-9)
+
+    def test_sine_load_against_decimal_closed_form(self):
+        # the half-angle factor 4 sin^2(pi h / 2) / (h pi^2) keeps full
+        # precision; 2 (1 - cos(pi h)) / (h pi^2) is off by 2.6e-11 here.
+        # Compared in the max norm: near x = 1 the nodal sine itself carries
+        # the rounding of pi x_i.
+        load = sine_load_vector(Mesh1D(2048), 1)
+        expected = np.array([float(m) for m in sine_moments(2048)])
+        np.testing.assert_allclose(load, expected, rtol=0.0,
+                                   atol=1e-15 * expected.max())
 
     def test_sine_load_odd_mode_vanishes_at_center(self):
         load = sine_load_vector(Mesh1D(4), 2)

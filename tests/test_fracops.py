@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracstep.assembly import initial_time_factors
-from fracstep.errors import DomainError
+from fracstep.errors import BUDGET, BudgetError, DomainError
 from fracstep.fracops import (
     DENSE_MERGE,
     FFT_CHUNK,
     PowerFunction,
     TemporalGrid,
+    TemporalWeightMatrix,
     _four_corner,
     derivative_pairing_matrix,
     derivative_pairing_pwc,
@@ -213,6 +215,23 @@ class TestTemporalWeights:
         expected = weights.dense()[300:600, :300] @ values[:300]
         block = weights.history_block(values, 0, 300, 600)
         np.testing.assert_allclose(block, expected, rtol=1e-12)
+
+    def test_dense_over_budget_rejected_before_allocating(self, monkeypatch):
+        def no_block(self, rows, cols):
+            raise AssertionError("block evaluated before the budget check")
+
+        J = 8192
+        assert J * J > BUDGET
+        tracemalloc.start()
+        try:
+            weights = temporal_weights(TemporalGrid.uniform(J), 0.5)
+            monkeypatch.setattr(TemporalWeightMatrix, "block", no_block)
+            with pytest.raises(BudgetError, match="budget"):
+                weights.dense()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_alpha_out_of_range(self):
         grid = TemporalGrid.uniform(4, 1.0)

@@ -360,7 +360,7 @@ class TestCache:
         assert first.rows[0]["E1"] == second.rows[0]["E1"]
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
 
-    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5"])
     def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
         # the entry an older format wrote for this plan's reference, filled with junk
         old_meta = {"format": old_format, "experiment": "manufactured", "alpha": 0.8,
