@@ -7,19 +7,20 @@ seminorm, each checked live against an independent Gauss-Jacobi evaluation.
 import numpy as np
 from scipy.special import gamma as scipy_gamma
 
-from fracstep import PowerFunction, TemporalGrid, temporal_weights
-from fracstep.assembly import initial_time_factors
-from fracstep.fracops import (
-    derivative_pairing_pwc,
-    fractional_seminorm_pwc,
-    riemann_liouville_derivative_power,
-    riemann_liouville_integral_power,
+from fracstep import (
+    PowerFunction,
+    TemporalGrid,
+    derivative_power_function,
+    integral_power_function,
+    temporal_weights,
 )
+from fracstep.assembly import initial_time_factors
+from fracstep.fracops import derivative_pairing_pwc, fractional_seminorm_pwc
 from fracstep.quadrature import singular_integral
 
 print("=== power-rule integral against the defining convolution ===")
 for sigma, gamma, t in [(0.0, 0.5, 1.0), (-0.49, 0.6, 1.0), (2.0, 0.25, 1.7)]:
-    closed = riemann_liouville_integral_power(PowerFunction(1.0, sigma), gamma, t)
+    closed = integral_power_function(PowerFunction(1.0, sigma), gamma)(t)
     oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0) / scipy_gamma(gamma)
     print(f"  I^{gamma} [t^{sigma:+.2f}] ({t}) = {closed:.12f}"
           f"   quadrature {oracle:.12f}   diff {abs(closed - oracle):.1e}")
@@ -27,8 +28,7 @@ for sigma, gamma, t in [(0.0, 0.5, 1.0), (-0.49, 0.6, 1.0), (2.0, 0.25, 1.7)]:
 print()
 print("=== power-rule derivative: D^g t^g is the constant Gamma(1+g) ===")
 for gamma in (0.2, 0.5, 0.8):
-    values = [riemann_liouville_derivative_power(PowerFunction(1.0, gamma), gamma, t)
-              for t in (0.5, 1.0, 2.0)]
+    values = derivative_power_function(PowerFunction(1.0, gamma), gamma)([0.5, 1.0, 2.0])
     print(f"  g={gamma}: {values[0]:.12f} {values[1]:.12f} {values[2]:.12f}"
           f"   Gamma(1+g) = {scipy_gamma(1 + gamma):.12f}")
 

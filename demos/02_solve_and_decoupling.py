@@ -15,8 +15,8 @@ mesh = Mesh1D(64)
 grid = TemporalGrid.uniform(256, 1.0)
 spec = manufactured_problem(0.8)
 field, report = solve(spec, grid, mesh)
-e1, e2 = spec.exact.error_norms(grid, mesh, field.values)
-print(f"  {report.steps} steps, wall {report.wall_time:.3f}s, "
+e1, e2 = spec.exact.error_norms(field)
+print(f"  {grid.num_steps} steps, wall {report.wall_time:.3f}s, "
       f"max step residual {np.max(report.residual_norms):.2e}")
 print(f"  E1 = {e1:.6e}   E2 = {e2:.6e}")
 print(f"  energy identity gap {report.energy_gap:.2e}")

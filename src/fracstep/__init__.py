@@ -36,9 +36,9 @@ from .fracops import (
     PowerFunction,
     TemporalGrid,
     TemporalWeightMatrix,
+    derivative_power_function,
     fractional_seminorm_pwc,
-    riemann_liouville_derivative_power,
-    riemann_liouville_integral_power,
+    integral_power_function,
     temporal_weights,
 )
 from .gammafn import gamma_fn

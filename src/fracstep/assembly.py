@@ -5,8 +5,9 @@ value plus the source) against the space-time test functions
 ``chi_{I_k} phi_i``.  All of the supported data are separable products of a
 spatial power/sine profile and a temporal power, so each contribution is an
 outer product of a closed-form time-factor vector and a closed-form spatial
-moment vector.  Singular profiles like ``x^{-0.8}`` enter only through their
-hat moments; nothing is ever sampled pointwise near ``x = 0``.
+moment vector; :func:`assemble_load` is the one place they are summed.
+Singular profiles like ``x^{-0.8}`` enter only through their hat moments;
+nothing is ever sampled pointwise near ``x = 0``.
 """
 
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem1d
-from .errors import DomainError
-from .fracops import TemporalGrid, check_alpha
+from .errors import CHUNK, DomainError
+from .fracops import TemporalGrid, _ensure_order
 from .gammafn import gamma_fn
 
 SPATIAL_POWER = "power"
@@ -91,7 +92,7 @@ class ProblemSpec:
     exact: "ManufacturedSolution | None" = None
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        _ensure_order(self.alpha, 0, 1, "alpha")
 
 
 def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
@@ -100,7 +101,7 @@ def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
     ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)``; the row sums of
     the temporal weight matrix telescope to the same values.
     """
-    alpha = check_alpha(alpha)
+    alpha = _ensure_order(alpha, 0, 1, "alpha")
     powers = grid.nodes ** (1.0 - alpha)
     return np.diff(powers) / gamma_fn(2.0 - alpha)
 
@@ -113,45 +114,32 @@ def power_time_factors(grid: TemporalGrid, exponent: float) -> np.ndarray:
     return np.diff(powers) / (exponent + 1.0)
 
 
-def _spatial_vector(term: SourceTerm, mesh: fem1d.Mesh1D) -> np.ndarray:
-    if term.spatial_kind == SPATIAL_POWER:
-        return fem1d.power_load_vector(mesh, term.spatial_param)
-    return fem1d.sine_load_vector(mesh, int(term.spatial_param))
-
-
-def initial_data_load(spec: ProblemSpec, grid: TemporalGrid,
-                      mesh: fem1d.Mesh1D) -> np.ndarray:
-    """Load contribution of the initial value, a (J, N) array."""
-    shape = (grid.num_steps, mesh.n_interior)
-    if spec.initial is None:
-        return np.zeros(shape)
-    factors = initial_time_factors(grid, spec.alpha)
-    init = spec.initial
-    if init.kind == "power":
-        space = init.scale * fem1d.power_load_vector(mesh, init.exponent)
-    else:
-        if not init.mode < mesh.n_cells:
-            raise DomainError(f"mode must lie in 1..{mesh.n_cells - 1} to avoid "
-                              f"aliasing, got {init.mode}")
-        values = fem1d.sine_vector(mesh, init.mode)
-        space = init.scale * fem1d.assemble_mass(mesh).matvec(values)
-    return np.outer(factors, space)
-
-
-def source_load(spec: ProblemSpec, grid: TemporalGrid,
-                mesh: fem1d.Mesh1D) -> np.ndarray:
-    """Load contribution of the separable source terms, a (J, N) array."""
-    out = np.zeros((grid.num_steps, mesh.n_interior))
-    for term in spec.sources:
-        factors = power_time_factors(grid, term.temporal_exponent)
-        out += term.scale * np.outer(factors, _spatial_vector(term, mesh))
-    return out
-
-
 def assemble_load(spec: ProblemSpec, grid: TemporalGrid,
                   mesh: fem1d.Mesh1D) -> np.ndarray:
-    """Full load array: initial-data term plus sources."""
-    return initial_data_load(spec, grid, mesh) + source_load(spec, grid, mesh)
+    """Full (J, N) load array: the initial-data term, then each source in order.
+
+    Each term is the outer product of its time factors and its hat moments.
+    """
+    out = np.zeros((grid.num_steps, mesh.n_interior))
+    init = spec.initial
+    if init is not None:
+        if init.kind == "power":
+            space = init.scale * fem1d.power_load_vector(mesh, init.exponent)
+        else:
+            if not init.mode < mesh.n_cells:
+                raise DomainError(f"mode must lie in 1..{mesh.n_cells - 1} to avoid "
+                                  f"aliasing, got {init.mode}")
+            values = fem1d.sine_vector(mesh, init.mode)
+            space = init.scale * fem1d.assemble_mass(mesh).matvec(values)
+        out += np.outer(initial_time_factors(grid, spec.alpha), space)
+    for term in spec.sources:
+        if term.spatial_kind == SPATIAL_POWER:
+            space = fem1d.power_load_vector(mesh, term.spatial_param)
+        else:
+            space = fem1d.sine_load_vector(mesh, int(term.spatial_param))
+        factors = power_time_factors(grid, term.temporal_exponent)
+        out += term.scale * np.outer(factors, space)
+    return out
 
 
 class ManufacturedSolution:
@@ -160,9 +148,8 @@ class ManufacturedSolution:
     def __call__(self, x, t):
         return np.asarray(t, dtype=float) ** 2 * np.sin(math.pi * np.asarray(x))
 
-    def error_norms(self, grid: TemporalGrid, mesh: fem1d.Mesh1D,
-                    values: np.ndarray) -> tuple[float, float]:
-        """Exact (E1, E2) distances of a discrete field from the solution.
+    def error_norms(self, field) -> tuple[float, float]:
+        """Exact (E1, E2) distances of a ``solver.SpaceTimeField`` from the solution.
 
         Let ``s = sin(pi x)``, ``I_h s`` its nodal interpolant (in 1D also its
         Ritz projection) and ``P_h s = beta I_h s`` its L2 projection, with
@@ -182,12 +169,10 @@ class ManufacturedSolution:
         sin^2 x``, ``||s - P_h s||^2 = (1 - beta (sin x / x)^2) / 2`` and
         ``|s - I_h s|_1^2 = (pi^2 / 2)(1 - (sin x / x)^2)``; the last two are
         power series in ``x^2``.  Every term is nonnegative, so nothing
-        cancels.  The difference rows are formed about ``fem1d.ERROR_CHUNK``
+        cancels.  The difference rows are formed about ``errors.CHUNK``
         values at a time.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.num_steps, mesh.n_interior):
-            raise DomainError("field dimensions do not match grid/mesh")
+        grid, mesh, values = field.grid, field.mesh, field.values
         h = mesh.h
         x = 0.5 * math.pi * h
         sin_sq = math.sin(x) ** 2
@@ -200,7 +185,7 @@ class ManufacturedSolution:
         t4 = grid.final_time ** 5 / 5.0
         interp = fem1d.sine_vector(mesh, 1)
         projection = beta * interp
-        rows = max(1, fem1d.ERROR_CHUNK // (mesh.n_cells + 1))
+        rows = max(1, CHUNK // (mesh.n_cells + 1))
         padded = np.zeros((rows, mesh.n_cells + 1))
         diffs = np.empty((rows, mesh.n_cells))
         g1, s0, g2 = np.empty((3, grid.num_steps))

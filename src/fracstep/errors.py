@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the resource budget."""
+"""Exception types shared across the package, the resource budget and the buffer size."""
 
-BUDGET = 1 << 24  # max J*N unknowns of a solve, and max entries of a dense array
+BUDGET = 1 << 24  # max J*N unknowns of a solve, steps of a grid, entries of a dense array
+CHUNK = 1 << 16  # values of a working buffer formed at once (error rows, FFT merges)
 
 
 class FracstepError(Exception):
@@ -24,4 +25,4 @@ class SolverError(FracstepError):
 
 
 class BudgetError(FracstepError):
-    """A solve or a dense array would exceed ``BUDGET``."""
+    """A solve, a grid or a dense array would exceed ``BUDGET``."""

@@ -2,8 +2,9 @@
 
 Interior-node unknowns only: for ``n`` cells the unknown vector has
 ``n - 1`` entries at ``x_i = i h``.  Mass and stiffness matrices are
-symmetric tridiagonal, stored by their two bands and factored and solved
-with LAPACK's ``dpttrf``/``dpttrs``; load vectors for power-law and sine
+symmetric tridiagonal, stored by their two bands, factored by
+:meth:`TridiagonalMatrix.factor` (``dpttrf``) and solved by
+:meth:`ThomasFactor.solve` (``dpttrs``); load vectors for power-law and sine
 data are assembled from closed-form antiderivatives, never from pointwise
 sampling (the experiments' data blow up at ``x = 0``).
 """
@@ -15,8 +16,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NestingError, SolverError
-
-ERROR_CHUNK = 1 << 16  # elements of difference rows formed at once for band_sums
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,12 @@ class TridiagonalMatrix:
         return out
 
     def factor(self) -> "ThomasFactor":
-        return ThomasFactor.from_matrix(self)
+        # the wrapper rejects an empty off-diagonal, so n = 1 gets a dummy one
+        off = self.off if self.size > 1 else np.zeros(1)
+        d, e, info = lapack.dpttrf(self.diag, off)
+        if info != 0:
+            raise SolverError("tridiagonal matrix is not positive definite")
+        return ThomasFactor(d, e)
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.off, -1) + np.diag(self.off, 1)
@@ -88,22 +92,14 @@ class TridiagonalMatrix:
 class ThomasFactor:
     """LAPACK ``L D L^T`` factors of a positive definite tridiagonal matrix.
 
-    ``dpttrf`` runs once per step matrix and ``dpttrs`` once per right-hand
-    side.  ``d`` holds D and ``e`` the subdiagonal of the unit bidiagonal L.
+    :meth:`TridiagonalMatrix.factor` makes them with ``dpttrf``, once per
+    step matrix, and ``dpttrs`` runs once per right-hand side.  ``d`` holds
+    D and ``e`` the subdiagonal of the unit bidiagonal L.
     The name is kept because ``benchmarks/tracing.py`` traces its ``solve``.
     """
 
     d: np.ndarray
     e: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, tri: TridiagonalMatrix) -> "ThomasFactor":
-        # the wrapper rejects an empty off-diagonal, so n = 1 gets a dummy one
-        off = tri.off if tri.size > 1 else np.zeros(1)
-        d, e, info = lapack.dpttrf(tri.diag, off)
-        if info != 0:
-            raise SolverError("tridiagonal matrix is not positive definite")
-        return cls(d, e)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # dpttrs would return a longer rhs with its tail untouched

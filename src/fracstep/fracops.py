@@ -3,9 +3,10 @@
 Everything here is exact in terms of the gamma function: left fractional
 integrals and derivatives of ``c (t-a)^sigma``, the causal temporal Galerkin
 weight matrix for piecewise constants, and the discrete fractional seminorm
-recovered from the left-right derivative pairing.  No discretized
-convolution kernels appear in this module; quadrature lives only in the
-independent oracle (:mod:`fracstep.quadrature`).
+recovered from the left-right derivative pairing.  The weight matrix and
+both pairings are one four-corner block at orders ``alpha``, ``2 gamma`` and
+``-2 gamma``.  No discretized convolution kernels appear in this module;
+quadrature lives only in the independent oracle (:mod:`fracstep.quadrature`).
 """
 
 import math
@@ -13,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BUDGET, BudgetError, DomainError
+from .errors import BUDGET, CHUNK, BudgetError, DomainError
 from .gammafn import gamma_fn
 
 DENSE_MERGE = 512  # longest history merge done as one dense product
-FFT_CHUNK = 1 << 16  # values per zero-padded buffer of an FFT history merge
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,10 @@ class PowerFunction:
             raise DomainError("coefficient must be finite")
 
     def __call__(self, t):
-        return self.coefficient * np.power(np.asarray(t, dtype=float) - self.offset,
-                                           self.exponent)
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > self.offset):
+            raise DomainError(f"evaluation points {t} must exceed the offset {self.offset}")
+        return self.coefficient * np.power(t - self.offset, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class TemporalGrid:
     def uniform(cls, num_steps: int, final_time: float = 1.0) -> "TemporalGrid":
         if num_steps < 1:
             raise DomainError("need at least one step")
+        if num_steps > BUDGET:  # before the nodes are allocated; no solve has more
+            raise BudgetError(f"{num_steps} steps exceed the budget of {BUDGET}")
         if not final_time > 0.0:
             raise DomainError("final time must be positive")
         return cls(final_time * (np.arange(num_steps + 1) / num_steps))
@@ -83,15 +87,7 @@ class TemporalGrid:
         return bool(np.all(np.abs(tau - tau[0]) <= 1e-12 * tau[0]))
 
 
-def check_alpha(alpha: float) -> float:
-    """The order of the time derivative as a float; raises unless 0 < alpha < 1."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
-def _ensure_order(gamma: float, lo=0.0, hi=1.0, what="order") -> float:
+def _ensure_order(gamma: float, lo, hi, what: str) -> float:
     gamma = float(gamma)
     if not lo < gamma < hi:
         raise DomainError(f"{what} must lie in ({lo}, {hi}), got {gamma}")
@@ -113,13 +109,6 @@ def integral_power_function(p: PowerFunction, gamma: float) -> PowerFunction:
     return PowerFunction(coeff, p.exponent + gamma, p.offset)
 
 
-def riemann_liouville_integral_power(p: PowerFunction, gamma: float, t: float) -> float:
-    """Evaluate the left fractional integral of a power function at ``t``."""
-    if not t > p.offset:
-        raise DomainError(f"evaluation point {t} must exceed the offset {p.offset}")
-    return float(integral_power_function(p, gamma)(t))
-
-
 def derivative_power_function(p: PowerFunction, gamma: float) -> PowerFunction:
     """Left fractional derivative of a power function, as a power function.
 
@@ -136,13 +125,6 @@ def derivative_power_function(p: PowerFunction, gamma: float) -> PowerFunction:
     return PowerFunction(coeff, p.exponent - gamma, p.offset)
 
 
-def riemann_liouville_derivative_power(p: PowerFunction, gamma: float, t: float) -> float:
-    """Evaluate the left fractional derivative of a power function at ``t``."""
-    if not t > p.offset:
-        raise DomainError(f"evaluation point {t} must exceed the offset {p.offset}")
-    return float(derivative_power_function(p, gamma)(t))
-
-
 # ---------------------------------------------------------------------------
 # piecewise-constant kernels
 # ---------------------------------------------------------------------------
@@ -157,22 +139,24 @@ def _plus_power(x, mu: float) -> np.ndarray:
     return out
 
 
-def _four_corner(grid: TemporalGrid, mu: float, rows=slice(None), cols=slice(None)):
-    """Block ``C[rows, cols]`` of four-corner differences with exponent ``mu``.
+def _four_corner(grid: TemporalGrid, order: float, rows=slice(None), cols=slice(None)):
+    """Block ``C[rows, cols]`` of four-corner differences of order ``order``.
 
-    ``C[k, j] = (t_{k+1}-t_j)_+^mu - (t_k-t_j)_+^mu - (t_{k+1}-t_{j+1})_+^mu
-    + (t_k-t_{j+1})_+^mu`` for 0-based interval indices; every piecewise
-    constant pairing in this module is such a matrix up to a gamma factor.
-    Entries are computed one by one, so a block is bitwise the same slice of
-    the full matrix; those with ``j > k`` are exact zeros.
+    ``C[k, j] = ((t_{k+1}-t_j)_+^mu - (t_k-t_j)_+^mu - (t_{k+1}-t_{j+1})_+^mu
+    + (t_k-t_{j+1})_+^mu) / Gamma(2 - order)`` with ``mu = 1 - order``, for
+    0-based interval indices; every piecewise constant pairing in this
+    module is such a matrix.  Entries are computed one by one, so a block is
+    bitwise the same slice of the full matrix; those with ``j > k`` are exact
+    zeros.
     """
+    mu = 1.0 - order
     upper = grid.nodes[1:]
     lower = grid.nodes[:-1]
     a = _plus_power(upper[rows, None] - lower[None, cols], mu)
     b = _plus_power(lower[rows, None] - lower[None, cols], mu)
     c = _plus_power(upper[rows, None] - upper[None, cols], mu)
     d = _plus_power(lower[rows, None] - upper[None, cols], mu)
-    return a - b - c + d
+    return (a - b - c + d) / gamma_fn(2.0 - order)
 
 
 @dataclass(frozen=True)
@@ -201,8 +185,7 @@ class TemporalWeightMatrix:
         these rows and columns.
         """
         if self._kernel is None:
-            return (_four_corner(self.grid, 1.0 - self.alpha, rows, cols)
-                    / gamma_fn(2.0 - self.alpha))
+            return _four_corner(self.grid, self.alpha, rows, cols)
         J = self.num_steps
         lags = np.subtract.outer(np.arange(*rows.indices(J)),
                                  np.arange(*cols.indices(J)))
@@ -230,9 +213,9 @@ class TemporalWeightMatrix:
 
         Up to ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, this is
         a dense product with :meth:`block`, in row chunks of at most
-        ``FFT_CHUNK`` block values.  Longer uniform ranges are a Toeplitz
+        ``errors.CHUNK`` block values.  Longer uniform ranges are a Toeplitz
         product, evaluated as a circular real FFT convolution of length ``n``
-        with time as the contiguous axis, over about ``FFT_CHUNK`` values of
+        with time as the contiguous axis, over about ``errors.CHUNK`` values of
         the past steps at a time, transposed and zero-padded to length ``n``.
         Every lag ``k - j`` lies in ``1..n-1``, so no term wraps around.
         """
@@ -240,12 +223,12 @@ class TemporalWeightMatrix:
         past = values[lo:mid]
         out = np.empty((hi - mid, past.shape[1]))
         if self._kernel is None or n <= DENSE_MERGE:
-            height = max(1, FFT_CHUNK // (mid - lo))
+            height = max(1, CHUNK // (mid - lo))
             for r in range(mid, hi, height):
                 rows = self.block(slice(r, min(r + height, hi)), slice(lo, mid))
                 out[r - mid:r - mid + height] = rows @ past
             return out
-        width = max(1, FFT_CHUNK // n)
+        width = max(1, CHUNK // n)
         kernel_spectrum = np.fft.rfft(self.block(slice(0, n), slice(0, 1))[:, 0])
         for c in range(0, past.shape[1], width):
             spectrum = np.fft.rfft(past[:, c:c + width].T, n=n) * kernel_spectrum
@@ -261,7 +244,7 @@ def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     :meth:`TemporalWeightMatrix.block` evaluates the four-corner formula on
     the rows and columns it is asked for.
     """
-    alpha = check_alpha(alpha)
+    alpha = _ensure_order(alpha, 0, 1, "alpha")
     if not grid.is_uniform():
         return TemporalWeightMatrix(grid, alpha)
     mu = 1.0 - alpha
@@ -272,46 +255,34 @@ def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     return TemporalWeightMatrix(grid, alpha, _kernel=kernel)
 
 
-def derivative_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:
-    """Matrix of ``<D_left^gamma chi_j, D_right^gamma chi_k>`` pairings.
-
-    Requires ``gamma < 1/2``: interval indicators fall outside the pairing
-    space at gamma = 1/2 and beyond.  Entry ``(k, j)`` vanishes for ``j > k``
-    because the left derivative is causal and the right one anti-causal.
-    """
-    gamma = float(gamma)
-    if not 0.0 < gamma < 0.5:
-        raise DomainError(
-            f"derivative pairing requires 0 < gamma < 1/2, got {gamma}")
-    return _four_corner(grid, 1.0 - 2.0 * gamma) / gamma_fn(2.0 - 2.0 * gamma)
-
-
-def integral_pairing_matrix(grid: TemporalGrid, gamma: float) -> np.ndarray:
-    """Matrix of ``<I_left^gamma chi_j, I_right^gamma chi_k>`` pairings.
-
-    Computed through the adjoint/composition rules, which turn the pairing
-    into ``<I_left^{2 gamma} chi_j, chi_k>`` with the same four-corner shape.
-    """
-    gamma = _ensure_order(gamma, 0.0, 1.0, "integral order")
-    return _four_corner(grid, 1.0 + 2.0 * gamma) / gamma_fn(2.0 + 2.0 * gamma)
-
-
-def _pwc_pairing(pairing_matrix, grid: TemporalGrid, values, gamma: float) -> float:
-    """``v . P v`` for one value per interval and ``P = pairing_matrix(grid, gamma)``."""
+def _pwc_pairing(grid: TemporalGrid, values, order: float) -> float:
+    """``v . C v`` for one value per interval and ``C = _four_corner(grid, order)``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.num_steps,):
         raise DomainError("one value per grid interval required")
-    return float(values @ pairing_matrix(grid, gamma) @ values)
+    return float(values @ _four_corner(grid, order) @ values)
 
 
 def derivative_pairing_pwc(grid: TemporalGrid, values, gamma: float) -> float:
-    """Bilinear pairing of the left/right derivatives of a piecewise constant."""
-    return _pwc_pairing(derivative_pairing_matrix, grid, values, gamma)
+    """Pairing ``<D_left^gamma v, D_right^gamma v>`` for piecewise-constant v.
+
+    Requires ``gamma < 1/2``: interval indicators fall outside the pairing
+    space at gamma = 1/2 and beyond.  Indicators pair as the order-``2 gamma``
+    four-corner block, zero above the diagonal because the left derivative
+    is causal and the right one anti-causal.
+    """
+    gamma = _ensure_order(gamma, 0, 0.5, "derivative pairing order")
+    return _pwc_pairing(grid, values, 2.0 * gamma)
 
 
 def fractional_integral_pairing_pwc(grid: TemporalGrid, values, gamma: float) -> float:
-    """Pairing ``<I_left^gamma v, I_right^gamma v>`` for piecewise-constant v."""
-    return _pwc_pairing(integral_pairing_matrix, grid, values, gamma)
+    """Pairing ``<I_left^gamma v, I_right^gamma v>`` for piecewise-constant v.
+
+    The adjoint and composition rules turn it into ``<I_left^{2 gamma} v, v>``,
+    the four-corner form of order ``-2 gamma``.
+    """
+    gamma = _ensure_order(gamma, 0.0, 1.0, "integral order")
+    return _pwc_pairing(grid, values, -2.0 * gamma)
 
 
 def fractional_seminorm_pwc(grid: TemporalGrid, values, gamma: float) -> float:

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import assembly, fem1d, solver
-from .errors import DomainError, NestingError
-from .fem1d import ERROR_CHUNK
-from .fracops import TemporalGrid, check_alpha
+from .errors import CHUNK, DomainError, NestingError
+from .fracops import TemporalGrid, _ensure_order
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
@@ -240,7 +239,7 @@ def expected_orders(alpha: float, beta: float, case: str) -> dict:
     for alpha > 1/2 only).  Returns ``{"E1": (h_order, tau_order), "E2":
     (h_order, tau_order)}``; combinations outside the covered regimes raise.
     """
-    check_alpha(alpha)
+    _ensure_order(alpha, 0, 1, "alpha")
     if case == "smooth-source":
         if not alpha > 0.5:
             raise DomainError("smooth-source rates need alpha > 1/2")
@@ -275,7 +274,7 @@ def space_time_error(coarse: solver.SpaceTimeField,
     when the meshes are equal) and held constant over the fine time
     intervals of each coarse interval.  The fine values are read through a
     ``(J_c, r, N)`` view and the difference is formed in chunks of about
-    ``ERROR_CHUNK`` elements, each row padded with its zero boundary values
+    ``errors.CHUNK`` elements, each row padded with its zero boundary values
     and reduced to its band sums ``s0`` and ``g`` by :func:`fem1d.band_sums`,
     so that
 
@@ -292,9 +291,9 @@ def space_time_error(coarse: solver.SpaceTimeField,
     same_mesh = coarse.mesh == fine.mesh
     # a chunk is (rows coarse intervals) x (sub fine intervals) x (n + 2);
     # a coarse interval too long for one chunk is split into equal parts
-    parts = -(-ratio_t * (n + 2) // ERROR_CHUNK)
+    parts = -(-ratio_t * (n + 2) // CHUNK)
     sub = -(-ratio_t // parts)
-    rows = max(1, ERROR_CHUNK // (sub * (n + 2)))
+    rows = max(1, CHUNK // (sub * (n + 2)))
     padded = np.zeros((rows, sub, n + 2))
     diffs = np.empty((rows, sub, n + 1))
     fine_values = fine.values.reshape(num_coarse, ratio_t, n)
@@ -433,8 +432,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
         if reference_field is not None:
             e1, e2 = space_time_error(level_field, reference_field)
         else:
-            e1, e2 = spec.exact.error_norms(level_field.grid, level_field.mesh,
-                                            level_field.values)
+            e1, e2 = spec.exact.error_norms(level_field)
         e1s.append(e1)
         e2s.append(e2)
         rows.append({"h": 1.0 / n_cells, "tau": 1.0 / num_steps,

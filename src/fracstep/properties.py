@@ -57,22 +57,21 @@ def _random_grid(rng, max_intervals=8, uniform=False, min_intervals=3) -> Tempor
 # fractional operator identities
 # ---------------------------------------------------------------------------
 
-def prop_semigroup(rng, draws=100) -> PropertyResult:
+def prop_semigroup(rng) -> PropertyResult:
     """Nested fractional integrals compose additively on power functions."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         sigma = rng.uniform(-0.99, 2.0)
         beta, gamma = rng.uniform(0.05, 0.95, size=2)
         offset = rng.uniform(0.0, 0.5)
         coeff = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
         t = offset + rng.uniform(0.1, 2.0)
         p = PowerFunction(coeff, sigma, offset)
-        nested = fracops.riemann_liouville_integral_power(
-            fracops.integral_power_function(p, gamma), beta, t)
-        single = fracops.riemann_liouville_integral_power(p, beta + gamma, t)
+        nested = fracops.integral_power_function(
+            fracops.integral_power_function(p, gamma), beta)(t)
+        single = fracops.integral_power_function(p, beta + gamma)(t)
         worst = max(worst, abs(nested - single) / max(abs(single), 1e-300))
-    return _result("semigroup-composition", worst, CLOSED_FORM_TOL,
-                   f"{draws} draws")
+    return _result("semigroup-composition", worst, CLOSED_FORM_TOL, "100 draws")
 
 
 def _poly_left_side(beta) -> np.ndarray:
@@ -99,20 +98,20 @@ def _poly_right_side(beta) -> np.ndarray:
     return out
 
 
-def prop_duality(rng, draws=100) -> PropertyResult:
+def prop_duality(rng) -> PropertyResult:
     """Left/right fractional integrals are adjoint on polynomials.
 
     Both sides are bilinear, so comparing the 4x4 monomial pairings entry by
     entry covers every polynomial of degree <= 3 with no near-zero pairing.
     """
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         beta = rng.uniform(0.05, 0.95)
         lhs = _poly_left_side(beta)
         rhs = _poly_right_side(beta)
         rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
         worst = max(worst, float(rel.max()))
-    return _result("integral-duality", worst, CLOSED_FORM_TOL, f"{draws} draws")
+    return _result("integral-duality", worst, CLOSED_FORM_TOL, "100 draws")
 
 
 def _pairing_by_quadrature(grid, values, gamma, rules) -> float:
@@ -135,13 +134,13 @@ def _pairing_by_quadrature(grid, values, gamma, rules) -> float:
     return total / norm
 
 
-def prop_coercivity(rng, draws=100) -> PropertyResult:
+def prop_coercivity(rng) -> PropertyResult:
     """Derivative pairing of nonzero piecewise constants is strictly positive
     and its closed form agrees with the quadrature oracle."""
     min_ratio = math.inf
     worst = 0.0
     rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
-    for i in range(draws):
+    for i in range(100):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=6)
         values = rng.uniform(-2.0, 2.0, size=grid.num_steps)
@@ -154,7 +153,7 @@ def prop_coercivity(rng, draws=100) -> PropertyResult:
             oracle = _pairing_by_quadrature(grid, values, gamma, rules)
             worst = max(worst, abs(pairing - oracle) / max(abs(oracle), 1e-300))
     ok = min_ratio > 0.0 and worst <= ORACLE_TOL
-    detail = (f"min pairing/|v|_inf^2 = {min_ratio:.3e} over {draws} draws, "
+    detail = (f"min pairing/|v|_inf^2 = {min_ratio:.3e} over 100 draws, "
               f"oracle rel err {worst:.3e} (tol {ORACLE_TOL:.1e})")
     return PropertyResult("coercivity-pairing", ok, detail)
 
@@ -199,12 +198,12 @@ def _pwc_integral_norm_sq(grid, values, gamma, rules) -> float:
     return total
 
 
-def prop_two_sided_bound(rng, draws=100) -> PropertyResult:
+def prop_two_sided_bound(rng) -> PropertyResult:
     """The left/right integral pairing is positive and comparable to the
     squared norm of the left integral, with measured two-sided constants."""
     ratios = []
     rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
-    for _ in range(draws):
+    for _ in range(100):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=5)
         values = rng.uniform(-2.0, 2.0, size=grid.num_steps)
@@ -217,7 +216,7 @@ def prop_two_sided_bound(rng, draws=100) -> PropertyResult:
     ok = lo > 0.0 and math.isfinite(hi)
     return PropertyResult(
         "integral-pairing-two-sided", ok,
-        f"measured ratio in [{lo:.4f}, {hi:.4f}] over {draws} draws")
+        f"measured ratio in [{lo:.4f}, {hi:.4f}] over 100 draws")
 
 
 def prop_toeplitz(rng) -> PropertyResult:
@@ -228,7 +227,7 @@ def prop_toeplitz(rng) -> PropertyResult:
         grid = TemporalGrid.uniform(12, 1.0)
         weights = fracops.temporal_weights(grid, alpha)
         dense = weights.dense()
-        general = np.tril(fracops._four_corner(grid, 1.0 - alpha)) / gamma_fn(2.0 - alpha)
+        general = np.tril(fracops._four_corner(grid, alpha))
         worst = max(worst, float(np.max(np.abs(dense - general)))
                     / float(np.max(np.abs(dense))))
         # entries (k, j), 0 < j < k, against (k - 1, j - 1)
@@ -245,16 +244,16 @@ def _numeric_derivative(func, t) -> float:
             - func(t + 2 * h)) / (12 * h)
 
 
-def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
+def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
     """Integral, derivative and weight closed forms match the oracle."""
     worst = 0.0
     rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
-    for i in range(draws):
+    for i in range(50):
         gamma = rng.uniform(0.05, 0.95)
         sigma = rng.uniform(-0.99, 2.0)
         t = rng.uniform(0.3, 2.0)
         p = PowerFunction(1.0, sigma)
-        closed = fracops.riemann_liouville_integral_power(p, gamma, t)
+        closed = fracops.integral_power_function(p, gamma)(t)
         oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0,
                                    rules=rules) / scipy_gamma(gamma)
         worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
@@ -270,8 +269,7 @@ def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
             return fixed_order_integral(0.0, s, p=dsigma, q=-dgamma, order=200,
                                         rules=rules) / scipy_gamma(1.0 - dgamma)
 
-        dclosed = fracops.riemann_liouville_derivative_power(
-            PowerFunction(1.0, dsigma), dgamma, dt)
+        dclosed = fracops.derivative_power_function(PowerFunction(1.0, dsigma), dgamma)(dt)
         doracle = _numeric_derivative(lifted, dt)
         worst = max(worst, abs(dclosed - doracle) / max(abs(doracle), 1e-300))
 
@@ -298,7 +296,7 @@ def prop_closed_forms_vs_oracle(rng, draws=50) -> PropertyResult:
             entry = weights.block(slice(k, k + 1), slice(j, j + 1)).item()
             err = abs(entry - oracle_entry)
             worst = max(worst, err / max(abs(oracle_entry), 1e-300))
-    return _result("closed-forms-vs-oracle", worst, ORACLE_TOL, f"{draws} draws")
+    return _result("closed-forms-vs-oracle", worst, ORACLE_TOL, "50 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +343,10 @@ def prop_pencil_eigenpairs(rng) -> PropertyResult:
     return _result("pencil-eigenvalues", worst, SOLVER_TOL)
 
 
-def prop_power_load(rng, draws=25) -> PropertyResult:
+def prop_power_load(rng) -> PropertyResult:
     worst = 0.0
     all_positive = True
-    for _ in range(draws):
+    for _ in range(25):
         r = rng.uniform(-0.99, 2.0)
         n_cells = int(rng.choice([4, 8, 16]))
         mesh = fem1d.Mesh1D(n_cells)

@@ -68,9 +68,8 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics of one marched solve."""
+    """Diagnostics of one marched solve; one residual norm per step."""
 
-    steps: int
     residual_norms: np.ndarray
     wall_time: float
     energy_gap: float
@@ -173,7 +172,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
         del near, hist, rhs, action, step_matrices
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
-    report = SolveReport(steps=J, residual_norms=residuals,
+    report = SolveReport(residual_norms=residuals,
                          wall_time=time.perf_counter() - start, energy_gap=gap)
     return SpaceTimeField(grid, mesh, values), report
 

@@ -72,10 +72,10 @@ def test_criterion_1_operator_identity_suite():
     start = time.perf_counter()
     rngs = _suite_rngs(4)
     results = [
-        prop_semigroup(rngs[0], draws=100),       # 1e-12 closed form
-        prop_duality(rngs[1], draws=100),         # 1e-12 closed form
-        prop_coercivity(rngs[2], draws=100),      # positivity + 1e-9 oracle
-        prop_two_sided_bound(rngs[3], draws=100),  # positivity + boundedness
+        prop_semigroup(rngs[0]),        # 1e-12 closed form
+        prop_duality(rngs[1]),          # 1e-12 closed form
+        prop_coercivity(rngs[2]),       # positivity + 1e-9 oracle
+        prop_two_sided_bound(rngs[3]),  # positivity + boundedness
     ]
     elapsed = time.perf_counter() - start
     for result in results:

@@ -9,15 +9,13 @@ from fracstep.assembly import (
     ProblemSpec,
     SourceTerm,
     assemble_load,
-    initial_data_load,
     initial_time_factors,
     manufactured_problem,
     power_time_factors,
-    source_load,
     spectral_eigenvalue,
     spectral_test_problem,
 )
-from fracstep.errors import DomainError
+from fracstep.errors import CHUNK, DomainError
 from fracstep.fracops import PowerFunction, TemporalGrid, derivative_power_function
 from fracstep.gammafn import gamma_fn
 from fracstep.quadrature import fixed_order_integral
@@ -61,13 +59,13 @@ class TestLoads:
         mesh = fem1d.Mesh1D(8)
         spec = ProblemSpec(alpha=0.5,
                            initial=InitialData(kind="power", scale=0.0, exponent=0.5))
-        assert np.all(initial_data_load(spec, grid, mesh) == 0.0)
+        assert np.all(assemble_load(spec, grid, mesh) == 0.0)
 
     def test_no_source_gives_zero(self):
         grid = TemporalGrid.uniform(4, 1.0)
         mesh = fem1d.Mesh1D(8)
         spec = ProblemSpec(alpha=0.5)
-        assert np.all(source_load(spec, grid, mesh) == 0.0)
+        assert np.all(assemble_load(spec, grid, mesh) == 0.0)
 
     def test_unit_source_on_unit_cells(self):
         # f = x^0 t^0 on tau = h = 1-sized cells gives entries tau * h
@@ -75,7 +73,7 @@ class TestLoads:
         mesh = fem1d.Mesh1D(4)
         spec = ProblemSpec(alpha=0.5,
                            sources=(SourceTerm("power", 0.0, 0.0),))
-        loads = source_load(spec, grid, mesh)
+        loads = assemble_load(spec, grid, mesh)
         assert np.allclose(loads, 1.0 * mesh.h, rtol=1e-13)
 
     def test_separable_outer_product_entrywise(self):
@@ -100,13 +98,13 @@ class TestLoads:
         mesh = fem1d.Mesh1D(8)
         values = fem1d.sine_vector(mesh, 2)
         spec = spectral_test_problem(2, 0.6)
-        loads = initial_data_load(spec, grid, mesh)
+        loads = assemble_load(spec, grid, mesh)
         expected = np.outer(initial_time_factors(grid, 0.6),
                             fem1d.assemble_mass(mesh).matvec(values))
         assert np.allclose(loads, expected, rtol=1e-14)
         scaled = ProblemSpec(alpha=0.6,
                              initial=InitialData(kind="sine", scale=2.5, mode=2))
-        assert np.allclose(initial_data_load(scaled, grid, mesh), 2.5 * expected,
+        assert np.allclose(assemble_load(scaled, grid, mesh), 2.5 * expected,
                            rtol=1e-14)
 
 
@@ -140,8 +138,8 @@ class TestManufactured:
         spec = manufactured_problem(0.5)
         grid = TemporalGrid.uniform(32, 1.0)
         mesh = fem1d.Mesh1D(16)
-        zeros = np.zeros((32, 15))
-        e1, e2 = spec.exact.error_norms(grid, mesh, zeros)
+        zeros = solver.SpaceTimeField(grid, mesh, np.zeros((32, 15)))
+        e1, e2 = spec.exact.error_norms(zeros)
         assert e2 == pytest.approx(math.sqrt(0.1), rel=1e-13)
         assert e1 == pytest.approx(math.pi * math.sqrt(0.1), rel=1e-13)
 
@@ -153,7 +151,7 @@ class TestManufactured:
         mesh = fem1d.Mesh1D(4)
         rng = np.random.default_rng(23)
         values = rng.uniform(-0.5, 0.5, size=(3, 3))
-        e1, e2 = spec.exact.error_norms(grid, mesh, values)
+        e1, e2 = spec.exact.error_norms(solver.SpaceTimeField(grid, mesh, values))
 
         def pwl(coeffs, x):
             padded = np.concatenate([[0.0], coeffs, [0.0]])
@@ -202,7 +200,7 @@ class TestManufactured:
         mesh = fem1d.Mesh1D(256)
         spec = manufactured_problem(0.8)
         field, _ = solver.solve(spec, grid, mesh)
-        e1, e2 = spec.exact.error_norms(grid, mesh, field.values)
+        e1, e2 = spec.exact.error_norms(field)
         oracle_e1, oracle_e2 = manufactured_error_norms(field.values, 128)
         assert e1 == pytest.approx(oracle_e1, rel=1e-11, abs=0.0)
         assert e2 == pytest.approx(oracle_e2, rel=1e-11, abs=0.0)
@@ -213,11 +211,12 @@ class TestManufactured:
         # are reduced in three chunks.
         grid = TemporalGrid.uniform(128)
         mesh = fem1d.Mesh1D(1024)
-        assert 128 * 1025 > 2 * fem1d.ERROR_CHUNK
+        assert 128 * 1025 > 2 * CHUNK
         lo, hi = grid.nodes[:-1], grid.nodes[1:]
         mean = (lo * lo + lo * hi + hi * hi) / 3.0
         values = np.outer(mean, fem1d.sine_vector(mesh, 1))
-        e1, e2 = manufactured_problem(0.8).exact.error_norms(grid, mesh, values)
+        field = solver.SpaceTimeField(grid, mesh, values)
+        e1, e2 = manufactured_problem(0.8).exact.error_norms(field)
         oracle_e1, oracle_e2 = manufactured_error_norms(values, 128)
         assert e1 == pytest.approx(oracle_e1, rel=1e-11, abs=0.0)
         assert e2 == pytest.approx(oracle_e2, rel=1e-11, abs=0.0)
@@ -228,9 +227,9 @@ class TestSpectral:
         # the spec is mesh-free: an aliasing mode is rejected with the load
         grid = TemporalGrid.uniform(2, 1.0)
         spec = spectral_test_problem(8, 0.5)
-        assert initial_data_load(spec, grid, fem1d.Mesh1D(16)).shape == (2, 15)
+        assert assemble_load(spec, grid, fem1d.Mesh1D(16)).shape == (2, 15)
         with pytest.raises(DomainError, match="aliasing"):
-            initial_data_load(spec, grid, fem1d.Mesh1D(8))
+            assemble_load(spec, grid, fem1d.Mesh1D(8))
         with pytest.raises(DomainError):
             spectral_test_problem(0, 0.5)
 

@@ -99,6 +99,14 @@ class TestSolve:
         assert "budget" in err
         assert time.perf_counter() - start < 2.0
 
+    def test_huge_step_count_exits_three_before_allocating(self, capsys):
+        # 2^40 steps: the grid's nodes alone would take 8 TiB
+        code, _, err = run_cli(
+            capsys, "solve", "--experiment", "exp3", "--alpha", "0.5",
+            "--nx", "4", "--nt", str(1 << 40))
+        assert code == 3
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):
@@ -141,6 +149,13 @@ class TestSweep:
             "--alpha", "0.8", "--nx", "24", "--nt", "8")
         assert code == 2
         assert "power of" in err
+
+    def test_huge_step_count_exits_three_before_allocating(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--experiment", "manufactured", "--axis", "time",
+            "--nx", "4", "--nt", str(1 << 40), "--levels", "1")
+        assert code == 3
+        assert err.startswith("error:") and "budget" in err
 
     def test_reference_based_sweep_with_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 
 from fracstep.assembly import initial_time_factors
-from fracstep.errors import BUDGET, BudgetError, DomainError
+from fracstep.errors import BUDGET, CHUNK, BudgetError, DomainError
 from fracstep.fracops import (
     DENSE_MERGE,
-    FFT_CHUNK,
     PowerFunction,
     TemporalGrid,
     TemporalWeightMatrix,
     _four_corner,
-    derivative_pairing_matrix,
     derivative_pairing_pwc,
+    derivative_power_function,
     fractional_integral_pairing_pwc,
     fractional_seminorm_pwc,
     integral_power_function,
-    riemann_liouville_derivative_power,
-    riemann_liouville_integral_power,
     temporal_weights,
 )
 from fracstep.gammafn import gamma_fn
@@ -40,6 +37,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             PowerFunction(math.inf, 0.5)
 
+    def test_power_function_rejects_points_at_or_before_offset(self):
+        p = PowerFunction(1.0, -0.5, offset=1.0)
+        for t in (1.0, 0.5, [2.0, 1.0], np.array([[3.0], [0.0]]), math.nan):
+            with pytest.raises(DomainError, match="offset"):
+                p(t)
+        assert np.array_equal(p(np.array([2.0, 5.0])), [1.0, 0.5])
+
     def test_grid_invariants(self):
         grid = TemporalGrid.uniform(4, 2.0)
         assert grid.num_steps == 4
@@ -50,58 +54,61 @@ class TestTypes:
         with pytest.raises(DomainError):
             TemporalGrid(np.array([0.1, 0.5, 1.0]))
 
+    def test_uniform_over_budget_rejected_before_allocating(self):
+        # 2^40 nodes would take 8 TiB; the check must come before np.arange
+        with pytest.raises(BudgetError, match="budget"):
+            TemporalGrid.uniform(1 << 40)
+
 
 class TestIntegralPower:
     def test_first_integral_of_one_is_t(self):
         p = PowerFunction(1.0, 0.0)
-        assert riemann_liouville_integral_power(p, 1.0, 0.5) == pytest.approx(
-            0.5, rel=1e-14)
+        assert integral_power_function(p, 1.0)(0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_half_order_semigroup_recovers_identity(self):
         p = PowerFunction(1.0, 0.0)
         once = integral_power_function(p, 0.5)
-        assert riemann_liouville_integral_power(once, 0.5, 0.7) == pytest.approx(
-            0.7, rel=1e-13)
+        assert integral_power_function(once, 0.5)(0.7) == pytest.approx(0.7, rel=1e-13)
 
     def test_singular_exponent_against_oracle_value(self):
         p = PowerFunction(1.0, -0.49)
-        value = riemann_liouville_integral_power(p, 0.6, 1.0)
+        value = integral_power_function(p, 0.6)(1.0)
         assert value == pytest.approx(INTEGRAL_06_POW_M049_AT_1, rel=1e-9)
 
     def test_domain_errors(self):
         p = PowerFunction(1.0, 0.5, offset=1.0)
         with pytest.raises(DomainError):
-            riemann_liouville_integral_power(p, 0.5, 1.0)  # t == offset
+            integral_power_function(p, 0.5)(1.0)  # t == offset
         with pytest.raises(DomainError):
-            riemann_liouville_integral_power(p, 2.5, 2.0)  # order out of range
+            integral_power_function(p, 2.5)  # order out of range
 
 
 class TestDerivativePower:
     def test_quadratic_against_numdiff_oracle_value(self):
         p = PowerFunction(1.0, 2.0)
-        value = riemann_liouville_derivative_power(p, 0.8, 1.0)
+        value = derivative_power_function(p, 0.8)(1.0)
         assert value == pytest.approx(DERIV_08_POW_2_AT_1, rel=1e-9)
         assert value == pytest.approx(2.0 / gamma_fn(2.2), rel=1e-13)
 
     def test_constant_half_derivative(self):
         p = PowerFunction(1.0, 0.0)
-        value = riemann_liouville_derivative_power(p, 0.5, 4.0)
+        value = derivative_power_function(p, 0.5)(4.0)
         assert value == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13)
 
     def test_exponent_cancellation_gives_constant(self):
         for gamma in (0.2, 0.5, 0.8):
             p = PowerFunction(1.0, gamma)
             for t in (0.5, 1.0, 2.5):
-                value = riemann_liouville_derivative_power(p, gamma, t)
+                value = derivative_power_function(p, gamma)(t)
                 assert value == pytest.approx(gamma_fn(gamma + 1.0), rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            riemann_liouville_derivative_power(PowerFunction(1.0, -0.5), 0.6, 1.0)
+            derivative_power_function(PowerFunction(1.0, -0.5), 0.6)
         with pytest.raises(DomainError):
-            riemann_liouville_derivative_power(PowerFunction(1.0, 2.0), 1.2, 1.0)
+            derivative_power_function(PowerFunction(1.0, 2.0), 1.2)
         with pytest.raises(DomainError):
-            riemann_liouville_derivative_power(PowerFunction(1.0, 2.0), 0.5, 0.0)
+            derivative_power_function(PowerFunction(1.0, 2.0), 0.5)(0.0)
 
 
 class TestTemporalWeights:
@@ -174,7 +181,7 @@ class TestTemporalWeights:
     # merge lengths n = hi - lo on both sides of DENSE_MERGE, and column
     # counts narrower than one FFT chunk, exactly one chunk, and several
     # chunks with a partly filled last one
-    @pytest.mark.parametrize("cols", [3, FFT_CHUNK // 1100, 70])
+    @pytest.mark.parametrize("cols", [3, CHUNK // 1100, 70])
     def test_history_block_on_both_sides_of_dense_merge(self, cols):
         assert 512 <= DENSE_MERGE < 1100
         grid = TemporalGrid.uniform(1100, 1.0)
@@ -198,7 +205,7 @@ class TestTemporalWeights:
         J, alpha = 90, 0.3
         grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
         weights = temporal_weights(grid, alpha)
-        full = np.tril(_four_corner(grid, 1.0 - alpha)) / gamma_fn(2.0 - alpha)
+        full = np.tril(_four_corner(grid, alpha))
         # a leaf, below, straddling and above the diagonal, one row, all
         for rows, cols in ((slice(10, 74), slice(10, 74)), (slice(45, 90), slice(0, 45)),
                            (slice(5, 60), slice(30, 88)), (slice(0, 20), slice(50, 90)),
@@ -210,7 +217,7 @@ class TestTemporalWeights:
         J = 600
         grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
         weights = temporal_weights(grid, 0.7)
-        assert 300 * 300 > FFT_CHUNK  # more than one chunk of block rows
+        assert 300 * 300 > CHUNK  # more than one chunk of block rows
         values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(J, 4))
         expected = weights.dense()[300:600, :300] @ values[:300]
         block = weights.history_block(values, 0, 300, 600)
@@ -278,16 +285,18 @@ class TestSeminorm:
 
 class TestPairingWeightEquivalence:
     def test_derivative_pairing_realizes_weight_matrix(self):
-        # the half-order left/right pairing of indicators equals the direct
-        # integral weight matrix entry for entry; this is the identity that
+        # the half-order left/right pairing of a piecewise constant equals its
+        # energy under the direct weight matrix; this is the identity that
         # justifies using the weight matrix as the scheme's bilinear form
         rng = np.random.default_rng(11)
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=6))])
         grid = TemporalGrid(nodes)
         for alpha in (0.3, 0.6, 0.9):
             dense_weights = temporal_weights(grid, alpha).dense()
-            pairing = derivative_pairing_matrix(grid, alpha / 2.0)
-            assert np.allclose(pairing, dense_weights, rtol=1e-12, atol=1e-15)
+            for values in rng.uniform(-1.0, 1.0, size=(5, 6)):
+                pairing = derivative_pairing_pwc(grid, values, alpha / 2.0)
+                assert pairing == pytest.approx(values @ dense_weights @ values,
+                                                rel=1e-12)
 
 
 class TestPointwiseEvaluators:

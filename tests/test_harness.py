@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracstep import fem1d, harness, solver
-from fracstep.errors import BudgetError, DomainError, NestingError
+from fracstep.errors import CHUNK, BudgetError, DomainError, NestingError
 from fracstep.fracops import TemporalGrid
 from fracstep.harness import (
     EXPERIMENTS,
@@ -143,7 +143,7 @@ class TestSpaceTimeError:
         coarse_mesh = fem1d.Mesh1D(64 // ratio_h)
         fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(num_fine)
         coarse_grid = TemporalGrid(fine_grid.nodes[::ratio_t])
-        rows_per_chunk = harness.ERROR_CHUNK // (ratio_t * 65)
+        rows_per_chunk = CHUNK // (ratio_t * 65)
         assert (num_fine // ratio_t) % rows_per_chunk != 0
         rng = np.random.default_rng(ratio_t + 10 * ratio_h + 100 * graded)
         coarse = solver.SpaceTimeField(
@@ -161,7 +161,7 @@ class TestSpaceTimeError:
         fine_mesh, coarse_mesh = fem1d.Mesh1D(1024), fem1d.Mesh1D(256)
         fine_grid = _graded_grid(130)
         coarse_grid = TemporalGrid(fine_grid.nodes[::65])
-        assert 65 * 1025 > harness.ERROR_CHUNK
+        assert 65 * 1025 > CHUNK
         rng = np.random.default_rng(11)
         coarse = solver.SpaceTimeField(coarse_grid, coarse_mesh,
                                        rng.uniform(-1.0, 1.0, size=(2, 255)))
