@@ -10,9 +10,14 @@ A sweep runs on the unit horizon ``T = 1``, the default of
 reference problem on a fine nested grid once, solves each coarser level
 once, and integrates the space-time errors exactly on the common refinement
 (the difference is piecewise constant in time and piecewise linear in space,
-so no sampling is involved).  A plan without one measures each level against
-the experiment's exact solution.  Observed orders are base-2 logarithms of
-consecutive error ratios on dyadic levels.
+so no sampling is involved).  The reference is read once: its
+:class:`BlockMoments` (weighted means and scatters per interval) are
+coarsened to each level's time grid, finest first and each from the one
+before, and each level's error is then integrated on its own time grid
+through the exact identity of :func:`space_time_error`.  A plan without a
+reference measures each level against the experiment's exact solution.
+Observed orders are base-2 logarithms of consecutive error ratios on dyadic
+levels.
 
 Desk-scale defaults keep the reference resolutions modest; the sweeps check
 orders, not absolute error digits.
@@ -266,55 +271,164 @@ def expected_orders(alpha: float, beta: float, case: str) -> dict:
 # exact space-time error between nested discrete solutions
 # ---------------------------------------------------------------------------
 
-def space_time_error(coarse: solver.SpaceTimeField,
-                     fine: solver.SpaceTimeField) -> tuple[float, float]:
-    """(E1, E2) distances between nested discrete solutions, exactly.
+@dataclass(frozen=True)
+class BlockMoments:
+    """A fine field on a nested coarser time grid: block means and scatters.
 
-    The coarse field is prolonged to the fine mesh (exact for P1; skipped
-    when the meshes are equal) and held constant over the fine time
-    intervals of each coarse interval.  The fine values are read through a
-    ``(J_c, r, N)`` view and the difference is formed in chunks of about
-    ``errors.CHUNK`` elements, each row padded with its zero boundary values
-    and reduced to its band sums ``s0`` and ``g`` by :func:`fem1d.band_sums`,
-    so that
-
-        E1^2 = sum_k tau_k g_k / h,    E2^2 = h sum_k tau_k (s0_k - g_k / 6).
+    Interval ``K`` of ``grid`` covers fine rows ``f_k`` on ``mesh`` with
+    weights ``tau_k``: ``weights[K] = T_K = sum_k tau_k``; ``means[K] +
+    lows[K]`` is their weighted mean ``m_K``, the naive mean plus the mean
+    of the deviations from it, kept apart so that rounding does not lose
+    it; ``mass[K]`` and ``stiff[K]`` are ``sum_k tau_k Q(f_k - m_K)`` for
+    ``Q = s0 - g / 6`` and ``Q = g`` (band sums of :func:`fem1d.band_sums`;
+    the P1 mass and stiffness forms without ``h`` and ``1 / h``).  A field
+    is its own ratio-1 moments (:meth:`of_values`): no lows, zero scatter.
     """
-    num_coarse = coarse.grid.num_steps
-    ratio_t = fine.grid.num_steps // max(num_coarse, 1)
-    if ratio_t * num_coarse != fine.grid.num_steps:
-        raise NestingError("time grids are not nested")
-    if not np.allclose(fine.grid.nodes[::ratio_t], coarse.grid.nodes,
-                       rtol=0.0, atol=1e-14 * fine.grid.final_time):
-        raise NestingError("time grids do not share nodes")
-    n = fine.mesh.n_interior
-    same_mesh = coarse.mesh == fine.mesh
-    # a chunk is (rows coarse intervals) x (sub fine intervals) x (n + 2);
-    # a coarse interval too long for one chunk is split into equal parts
-    parts = -(-ratio_t * (n + 2) // CHUNK)
-    sub = -(-ratio_t // parts)
+
+    grid: TemporalGrid
+    mesh: fem1d.Mesh1D
+    weights: np.ndarray
+    means: np.ndarray
+    lows: np.ndarray | None
+    mass: np.ndarray
+    stiff: np.ndarray
+
+    @classmethod
+    def of_values(cls, grid: TemporalGrid, mesh: fem1d.Mesh1D,
+                  values: np.ndarray) -> "BlockMoments":
+        zero = np.broadcast_to(0.0, (grid.num_steps,))  # no per-row storage
+        return cls(grid, mesh, grid.tau, values, None, zero, zero)
+
+    def ratio(self, grid: TemporalGrid) -> int:
+        """Intervals of these moments per interval of the nested ``grid``."""
+        num_coarse = grid.num_steps
+        ratio = self.grid.num_steps // num_coarse
+        if ratio * num_coarse != self.grid.num_steps:
+            raise NestingError("time grids are not nested")
+        if not np.allclose(self.grid.nodes[::ratio], grid.nodes,
+                           rtol=0.0, atol=1e-14 * self.grid.final_time):
+            raise NestingError("time grids do not share nodes")
+        return ratio
+
+    def coarsen(self, grid: TemporalGrid) -> "BlockMoments":
+        """The same fine field's moments on the nested coarser ``grid``.
+
+        Groups of these intervals merge exactly: the new scatter is the
+        groups' own plus ``sum_i T_i Q(m_i - m)`` about the merged mean.
+        """
+        ratio = self.ratio(grid)
+        if ratio == 1:
+            return self
+        num_coarse = grid.num_steps
+        weights = self.weights.reshape(num_coarse, ratio)
+        values = self.means.reshape(num_coarse, ratio, self.mesh.n_interior)
+        totals = weights.sum(axis=1)
+        means = np.empty(values[:, 0].shape)
+        lows = np.empty_like(means)
+
+        def naive_means(block):
+            out = means[block]
+            np.matmul(weights[block, None, :], values[block], out=out[:, None, :])
+            out /= totals[block, None]
+            return out
+
+        mass, stiff = _block_forms(self, num_coarse, naive_means, lows)
+        return BlockMoments(grid, self.mesh, totals, means, lows, mass, stiff)
+
+
+def _block_forms(moments: BlockMoments, num_coarse: int, centers,
+                 lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per coarse interval K, both forms of ``sum_i T_i Q(m_i - c_K) + W_i``.
+
+    ``i`` runs over the moments' intervals in K (weights ``T_i``, means
+    ``m_i`` with their lows, scatter ``W_i``); ``centers(block)`` returns
+    the centers ``c_K`` of the coarse intervals in the slice ``block``.
+    Given ``lows``, its rows receive the weighted mean ``delta_K`` of the
+    ``m_i - c_K``, and ``T_K Q(delta_K)`` is taken off, leaving the scatter
+    about ``c_K + delta_K``.  Differences are formed in buffers of about
+    ``errors.CHUNK`` values, an interval K too long for one in equal parts.
+    """
+    ratio = moments.grid.num_steps // num_coarse
+    n = moments.mesh.n_interior
+    parts = -(-ratio * (n + 2) // CHUNK)
+    sub = -(-ratio // parts)
     rows = max(1, CHUNK // (sub * (n + 2)))
     padded = np.zeros((rows, sub, n + 2))
     diffs = np.empty((rows, sub, n + 1))
-    fine_values = fine.values.reshape(num_coarse, ratio_t, n)
-    s0 = np.empty((num_coarse, ratio_t))
-    g = np.empty((num_coarse, ratio_t))
+    if lows is not None:
+        shift = np.zeros((rows, n + 2))
+    weights = moments.weights.reshape(num_coarse, ratio)
+    values = moments.means.reshape(num_coarse, ratio, n)
+    if moments.lows is not None:
+        fine_lows = moments.lows.reshape(num_coarse, ratio, n)
+    mass = moments.mass.reshape(num_coarse, ratio).sum(axis=1)
+    stiff = moments.stiff.reshape(num_coarse, ratio).sum(axis=1)
     for j in range(0, num_coarse, rows):
-        block = coarse.values[j:j + rows]
-        if not same_mesh:
-            block = fem1d.prolong_rows(block, coarse.mesh, fine.mesh)
-        for i in range(0, ratio_t, sub):
-            d = padded[:len(block), :min(sub, ratio_t - i)]
-            delta = diffs[:d.shape[0], :d.shape[1]]
-            np.subtract(block[:, None, :], fine_values[j:j + rows, i:i + sub],
-                        out=d[..., 1:-1])
-            cells = (slice(j, j + rows), slice(i, i + sub))
-            s0[cells], g[cells] = fem1d.band_sums(d, delta)
-    tau = fine.grid.tau.reshape(num_coarse, ratio_t)
-    h = fine.mesh.h
-    e1 = math.sqrt(float(np.sum(tau * g)) / h)
-    e2 = math.sqrt(h * float(np.sum(tau * (s0 - g / 6.0))))
-    return e1, e2
+        block = slice(j, j + rows)
+        center = centers(block)
+        if lows is not None:
+            delta = shift[:len(center), 1:-1]
+            delta[:] = 0.0
+        for i in range(0, ratio, sub):
+            d = padded[:len(center), :min(sub, ratio - i)]
+            np.subtract(values[block, i:i + sub], center[:, None, :], out=d[..., 1:-1])
+            if moments.lows is not None:
+                d[..., 1:-1] += fine_lows[block, i:i + sub]
+            s0, g = fem1d.band_sums(d, diffs[:d.shape[0], :d.shape[1]])
+            w = weights[block, i:i + sub]
+            mass[block] += np.sum(w * (s0 - g / 6.0), axis=1)
+            stiff[block] += np.sum(w * g, axis=1)
+            if lows is not None:
+                delta += np.matmul(w[:, None, :], d[..., 1:-1])[:, 0]
+        if lows is not None:
+            total = weights[block].sum(axis=1)
+            delta /= total[:, None]
+            s0, g = fem1d.band_sums(shift[:len(center)], diffs[:len(center), 0])
+            mass[block] -= total * (s0 - g / 6.0)
+            stiff[block] -= total * g
+            lows[block] = delta
+    return mass, stiff
+
+
+def space_time_error(coarse: solver.SpaceTimeField,
+                     reference: "solver.SpaceTimeField | BlockMoments") -> tuple[float, float]:
+    """(E1, E2) distances between nested discrete solutions, exactly.
+
+    The coarse field ``c`` is prolonged to the reference mesh (exact for
+    P1) and held constant on each of its time intervals K.  The reference
+    is a field or its :class:`BlockMoments` on a nested grid, the coarse
+    one or finer.  For a P1 form Q and the reference rows ``f_k`` in K,
+    with weights ``tau_k``, total ``T_K`` and weighted mean ``m_K``,
+
+        sum_k tau_k Q(c_K - f_k) = T_K Q(c_K - m_K) + sum_k tau_k Q(f_k - m_K)
+
+    exactly (Chan, Golub and LeVeque, Amer. Stat. 37, 1983).  Both terms
+    are weighted sums of squares, so nothing cancels, and the second is the
+    scatter the moments carry: ``E1^2 = sum_K (T_K g(c_K - m_K) + stiff_K)
+    / h`` and ``E2^2 = h sum_K (T_K (s0 - g / 6)(c_K - m_K) + mass_K)``.  A
+    field's rows count as ratio-1 moments; with moments coarsened to the
+    coarse grid (:meth:`BlockMoments.coarsen`) the call costs the coarse
+    field's size, not the reference's.
+
+    The means' rounding does not reach the errors.  The difference is
+    formed as ``(means - c) + lows``: the low part, the naive mean's own
+    rounding error (up to about ``r u |f|`` for ``r`` rows, ``u = 2^-53``),
+    is itself computed to a relative ``u``, so the difference is as
+    accurate as one taken from the rows.  A plain float mean would add up
+    to ``u |f|`` to each difference, ``2 u |f| / |c - m|`` relative in E^2.
+    """
+    moments = reference if isinstance(reference, BlockMoments) else \
+        BlockMoments.of_values(reference.grid, reference.mesh, reference.values)
+    moments.ratio(coarse.grid)
+    same_mesh = coarse.mesh == moments.mesh
+
+    def prolonged(block):
+        values = coarse.values[block]
+        return values if same_mesh else fem1d.prolong_rows(values, coarse.mesh, moments.mesh)
+
+    mass, stiff = _block_forms(moments, coarse.grid.num_steps, prolonged)
+    h = moments.mesh.h
+    return math.sqrt(float(np.sum(stiff)) / h), math.sqrt(h * float(np.sum(mass)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +467,9 @@ def load_cached_reference(cache_dir: str, meta: dict,
         if fh.read() != meta_text:  # any metadata mismatch invalidates
             return None
     data = np.fromfile(bin_path, dtype="<f8")
-    if data.size != shape[0] * shape[1]:
+    # a torn or corrupt payload is a miss; this is the one finiteness check
+    # of a cached reference, which is never wrapped in a SpaceTimeField
+    if data.size != shape[0] * shape[1] or not np.isfinite(data).all():
         return None
     return data.reshape(shape)
 
@@ -383,10 +499,22 @@ def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _solve_level(spec, n_cells: int, num_steps: int):
-    grid = TemporalGrid.uniform(num_steps)
-    mesh = fem1d.Mesh1D(n_cells)
-    return solver.solve(spec, grid, mesh)
+def _reference_moments(plan: SweepPlan, spec, cache_dir: str | None):
+    """The reference as ratio-1 moments, from the cache or solved (and stored).
+
+    Returns the moments and the solve's energy gap (0 on a cache hit).
+    """
+    ref_nx, ref_nt = plan.reference
+    grid, mesh = TemporalGrid.uniform(ref_nt), fem1d.Mesh1D(ref_nx)
+    meta = _reference_meta(plan, ref_nx, ref_nt)
+    if cache_dir is not None:
+        cached = load_cached_reference(cache_dir, meta, (ref_nt, ref_nx - 1))
+        if cached is not None:
+            return BlockMoments.of_values(grid, mesh, cached), 0.0
+    field, report = solver.solve(spec, grid, mesh)
+    if cache_dir is not None:
+        store_reference(cache_dir, meta, field.values)
+    return BlockMoments.of_values(grid, mesh, field.values), report.energy_gap
 
 
 def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable:
@@ -407,30 +535,26 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
         cache_dir = os.environ.get(CACHE_ENV_VAR)
     max_gap = 0.0
 
-    reference_field = None
+    # the reference's moments on each level's time grid, finest first, each
+    # coarsened from the one before; the reference is released after the first
+    moments = {}
     if plan.reference is not None:
-        ref_nx, ref_nt = plan.reference
-        shape = (ref_nt, ref_nx - 1)
-        meta = _reference_meta(plan, ref_nx, ref_nt)
-        cached = None
-        if cache_dir is not None:
-            cached = load_cached_reference(cache_dir, meta, shape)
-        if cached is not None:
-            reference_field = solver.SpaceTimeField(
-                TemporalGrid.uniform(ref_nt), fem1d.Mesh1D(ref_nx), cached)
-        else:
-            reference_field, report = _solve_level(spec, ref_nx, ref_nt)
-            max_gap = max(max_gap, report.energy_gap)
-            if cache_dir is not None:
-                store_reference(cache_dir, meta, reference_field.values)
+        reference, max_gap = _reference_moments(plan, spec, cache_dir)
+        for num_steps in sorted({nt for _, nt in plan.levels}, reverse=True):
+            reference = reference.coarsen(TemporalGrid.uniform(num_steps))
+            moments[num_steps] = reference
+    last_use = {nt: i for i, (_, nt) in enumerate(plan.levels)}
 
     rows = []
     e1s, e2s = [], []
-    for n_cells, num_steps in plan.levels:
-        level_field, report = _solve_level(spec, n_cells, num_steps)
+    for i, (n_cells, num_steps) in enumerate(plan.levels):
+        level_field, report = solver.solve(
+            spec, TemporalGrid.uniform(num_steps), fem1d.Mesh1D(n_cells))
         max_gap = max(max_gap, report.energy_gap)
-        if reference_field is not None:
-            e1, e2 = space_time_error(level_field, reference_field)
+        if plan.reference is not None:
+            e1, e2 = space_time_error(level_field, moments[num_steps])
+            if last_use[num_steps] == i:
+                del moments[num_steps]
         else:
             e1, e2 = spec.exact.error_norms(level_field)
         e1s.append(e1)
@@ -451,7 +575,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
         "h_ref": None if ref_nx is None else 1.0 / ref_nx,
         "tau_ref": None if ref_nt is None else 1.0 / ref_nt,
         "axis": plan.axis,
-        "error_mode": "exact" if reference_field is None else "reference",
+        "error_mode": "exact" if plan.reference is None else "reference",
         "max_energy_gap": max_gap,
         "runtime_s": time.perf_counter() - start,
     }

@@ -169,6 +169,20 @@ class TestSweep:
         assert run_cli(capsys, *args, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_corrupt_cached_reference_is_recomputed(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ("sweep", "--experiment", "exp3", "--axis", "time", "--nx", "16",
+                "--nt", "4", "--levels", "3", "--ref-nx", "16", "--ref-nt", "64",
+                "--cache-dir", str(cache))
+        first = tmp_path / "c1.csv"
+        second = tmp_path / "c2.csv"
+        assert run_cli(capsys, *args, "--output", str(first))[0] == 0
+        payload = next(cache.glob("*.bin"))  # its first value becomes a NaN
+        payload.write_bytes(b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + payload.read_bytes()[8:])
+        code, _, err = run_cli(capsys, *args, "--output", str(second))
+        assert code == 0, err
+        assert first.read_bytes() == second.read_bytes()
+
     def test_given_reference_replaces_the_exact_solution(self, tmp_path, capsys):
         # the manufactured time plan measures against its exact solution by
         # default; a reference level given on the command line takes over

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fracstep.errors import CHUNK, BudgetError, DomainError, NestingError
 from fracstep.fracops import TemporalGrid
 from fracstep.harness import (
     EXPERIMENTS,
+    BlockMoments,
     ConvergenceTable,
     SweepPlan,
     default_plan,
@@ -93,6 +95,31 @@ def _slow_space_time_error(coarse, fine):
     return math.sqrt(e1_sq), math.sqrt(e2_sq)
 
 
+def _moments(field):
+    return BlockMoments.of_values(field.grid, field.mesh, field.values)
+
+
+def _nested_pair(num_fine, fine_cells, ratio_t, ratio_h, graded, seed):
+    """Random coarse and fine fields on nested grids and meshes."""
+    fine_mesh = fem1d.Mesh1D(fine_cells)
+    coarse_mesh = fem1d.Mesh1D(fine_cells // ratio_h)
+    fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(num_fine)
+    coarse_grid = TemporalGrid(fine_grid.nodes[::ratio_t])
+    rng = np.random.default_rng(seed)
+    coarse = solver.SpaceTimeField(
+        coarse_grid, coarse_mesh,
+        rng.uniform(-1.0, 1.0, size=(num_fine // ratio_t, coarse_mesh.n_interior)))
+    fine = solver.SpaceTimeField(
+        fine_grid, fine_mesh, rng.uniform(-1.0, 1.0, size=(num_fine, fine_cells - 1)))
+    return coarse, fine
+
+
+# the small time sweep of the benchmark's self-check: 16 cells x {4, 8, 16}
+# steps against 16 cells x 64 steps
+TINY_PLAN = dict(experiment="experiment3", axis="time", alpha=0.8, nx=16, nt=4,
+                 count=3, reference=(16, 64))
+
+
 class TestSpaceTimeError:
     def test_self_comparison_is_zero(self):
         grid = TemporalGrid.uniform(8, 1.0)
@@ -139,21 +166,97 @@ class TestSpaceTimeError:
     @pytest.mark.parametrize("ratio_t", [1, 2, 8])
     @pytest.mark.parametrize("ratio_h", [1, 4])
     def test_matches_slow_oracle(self, graded, ratio_t, ratio_h):
-        num_fine, fine_mesh = 1040, fem1d.Mesh1D(64)
-        coarse_mesh = fem1d.Mesh1D(64 // ratio_h)
-        fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(num_fine)
-        coarse_grid = TemporalGrid(fine_grid.nodes[::ratio_t])
         rows_per_chunk = CHUNK // (ratio_t * 65)
-        assert (num_fine // ratio_t) % rows_per_chunk != 0
-        rng = np.random.default_rng(ratio_t + 10 * ratio_h + 100 * graded)
-        coarse = solver.SpaceTimeField(
-            coarse_grid, coarse_mesh,
-            rng.uniform(-1.0, 1.0, size=(num_fine // ratio_t, coarse_mesh.n_interior)))
-        fine = solver.SpaceTimeField(
-            fine_grid, fine_mesh, rng.uniform(-1.0, 1.0, size=(num_fine, 63)))
+        assert (1040 // ratio_t) % rows_per_chunk != 0
+        coarse, fine = _nested_pair(1040, 64, ratio_t, ratio_h, graded,
+                                    seed=ratio_t + 10 * ratio_h + 100 * graded)
         fast = space_time_error(coarse, fine)
         slow = _slow_space_time_error(coarse, fine)
         assert fast == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("ratio_t", [1, 2, 8])
+    @pytest.mark.parametrize("ratio_h", [1, 4])
+    def test_moments_coarsened_in_two_steps_match_one_step(self, graded, ratio_t, ratio_h):
+        # 1 -> 2 -> 8 against 1 -> 8 (and 1 -> 2 -> 2, 1 -> 1 -> 1): merging
+        # moments is exact, so both give the fine field's errors
+        coarse, fine = _nested_pair(1040, 64, ratio_t, ratio_h, graded,
+                                    seed=ratio_t + 10 * ratio_h + 100 * graded)
+        middle = TemporalGrid(fine.grid.nodes[::min(2, ratio_t)])
+        one_step = _moments(fine).coarsen(coarse.grid)
+        two_steps = _moments(fine).coarsen(middle).coarsen(coarse.grid)
+        slow = _slow_space_time_error(coarse, fine)
+        one = space_time_error(coarse, one_step)
+        two = space_time_error(coarse, two_steps)
+        assert one == pytest.approx(slow, rel=1e-13, abs=0.0)
+        assert two == pytest.approx(slow, rel=1e-13, abs=0.0)
+        assert two == pytest.approx(one, rel=1e-13, abs=0.0)
+        if ratio_t > 1:
+            np.testing.assert_allclose(two_steps.means + two_steps.lows,
+                                       one_step.means + one_step.lows, rtol=0.0, atol=1e-15)
+
+    def test_non_dyadic_ratio(self):
+        # 1040 = 5 * 208: ratio 5 directly, through moments, and 10 as 1 -> 5 -> 10
+        coarse, fine = _nested_pair(1040, 64, 5, 4, True, seed=21)
+        slow = _slow_space_time_error(coarse, fine)
+        moments = _moments(fine).coarsen(coarse.grid)
+        assert space_time_error(coarse, fine) == pytest.approx(slow, rel=1e-13, abs=0.0)
+        assert space_time_error(coarse, moments) == pytest.approx(slow, rel=1e-13, abs=0.0)
+        coarser, _ = _nested_pair(1040, 64, 10, 4, True, seed=22)
+        slow = _slow_space_time_error(coarser, fine)
+        chained = moments.coarsen(coarser.grid)
+        assert space_time_error(coarser, chained) == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble has no extended precision here")
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_near_reference_level_against_longdouble(self, graded):
+        # a level at E/|f| ~ 1e-6 with ratio 16: a float64 mean of the block
+        # would move E by up to about 1e-12; the mean's low part keeps it
+        # within rounding of an extended-precision evaluation
+        mesh, ratio, num_coarse = fem1d.Mesh1D(64), 16, 64
+        fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(ratio * num_coarse)
+        coarse_grid = TemporalGrid(fine_grid.nodes[::ratio])
+        rng = np.random.default_rng(31 + graded)
+        base = rng.uniform(0.5, 1.0, size=(num_coarse, 63))
+        fine_values = np.repeat(base, ratio, axis=0) \
+            + 1e-6 * rng.uniform(-1.0, 1.0, size=(ratio * num_coarse, 63))
+        coarse = solver.SpaceTimeField(
+            coarse_grid, mesh, base + 1e-6 * rng.uniform(-1.0, 1.0, size=base.shape))
+        fine = solver.SpaceTimeField(fine_grid, mesh, fine_values)
+        chained = _moments(fine)
+        for step in (2, 4, 8, 16):
+            chained = chained.coarsen(TemporalGrid(fine_grid.nodes[::step]))
+
+        d = np.zeros((ratio * num_coarse, 65), dtype=np.longdouble)
+        d[:, 1:-1] = (np.repeat(coarse.values.astype(np.longdouble), ratio, axis=0)
+                      - fine_values.astype(np.longdouble))
+        s0 = np.sum(d * d, axis=1)
+        g = np.sum(np.diff(d, axis=1) ** 2, axis=1)
+        tau, h = fine_grid.tau.astype(np.longdouble), np.longdouble(mesh.h)
+        exact = (float(np.sqrt(np.sum(tau * g) / h)),
+                 float(np.sqrt(h * np.sum(tau * (s0 - g / 6)))))
+        assert exact[1] / np.sqrt(np.mean(fine_values ** 2)) < 2e-6
+        for reference in (fine, _moments(fine).coarsen(coarse_grid), chained):
+            assert space_time_error(coarse, reference) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("num_fine", [2048, 16384])
+    def test_traced_peak_does_not_grow_with_the_reference(self, num_fine):
+        # the reference's rows are differenced in CHUNK-sized buffers: no
+        # temporary of the reference's size, which at 16384 x 31 is 4 MB
+        mesh = fem1d.Mesh1D(32)
+        fine_grid = TemporalGrid.uniform(num_fine)
+        rng = np.random.default_rng(num_fine)
+        fine = solver.SpaceTimeField(fine_grid, mesh, rng.uniform(size=(num_fine, 31)))
+        coarse = solver.SpaceTimeField(TemporalGrid.uniform(16), mesh,
+                                       rng.uniform(size=(16, 31)))
+        tracemalloc.start()
+        try:
+            space_time_error(coarse, fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * CHUNK * 8
 
     def test_coarse_interval_split_across_chunks(self):
         # 65 fine steps of 1025 padded nodes exceed one chunk, so each coarse
@@ -266,6 +369,33 @@ class TestRunSweep:
         for key in ("order1", "order2"):
             assert abs(t1.rows[-1][key] - t2.rows[-1][key]) < 0.05
 
+    def test_rows_match_per_level_errors(self):
+        plan = default_plan(**TINY_PLAN)
+        table = run_sweep(plan)
+        spec = experiment_problem(plan.experiment, plan.alpha)
+        reference, _ = solver.solve(spec, TemporalGrid.uniform(64), fem1d.Mesh1D(16))
+        for row, (nx, nt) in zip(table.rows, plan.levels):
+            level, _ = solver.solve(spec, TemporalGrid.uniform(nt), fem1d.Mesh1D(nx))
+            e1, e2 = space_time_error(level, reference)
+            assert row["E1"] == pytest.approx(e1, rel=1e-13, abs=0.0)
+            assert row["E2"] == pytest.approx(e2, rel=1e-13, abs=0.0)
+
+    def test_reference_rows_are_read_once(self, monkeypatch):
+        # the reference is coarsened level by level, so the rows formed grow
+        # with the levels, not with count * J_ref (192 rows here)
+        counted = []
+        band_sums = fem1d.band_sums
+
+        def counting(padded, diffs):
+            counted.append(padded.size // padded.shape[-1])
+            return band_sums(padded, diffs)
+
+        monkeypatch.setattr(fem1d, "band_sums", counting)
+        plan = default_plan(**TINY_PLAN)
+        run_sweep(plan)
+        ref_steps = plan.reference[1]
+        assert sum(counted) <= 2 * ref_steps + sum(nt for _, nt in plan.levels)
+
     def test_experiment2_registry_smoke(self):
         plan = SweepPlan(experiment="experiment2", alpha=0.7, axis="space",
                          levels=((8, 32), (16, 32)), reference=(64, 32),
@@ -359,6 +489,21 @@ class TestCache:
         second = run_sweep(plan, cache_dir=str(tmp_path))
         assert first.rows[0]["E1"] == second.rows[0]["E1"]
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
+
+    def test_non_finite_payload_is_a_miss(self, tmp_path):
+        plan = default_plan(**TINY_PLAN)
+        first = run_sweep(plan, cache_dir=str(tmp_path))
+        payload = next(tmp_path.glob("*.bin"))
+        stored = payload.read_bytes()
+        corrupt = np.frombuffer(stored, dtype="<f8").copy()
+        corrupt[100] = np.nan
+        payload.write_bytes(corrupt.tobytes())
+        meta = harness._reference_meta(plan, 16, 64)
+        assert load_cached_reference(str(tmp_path), meta, (64, 15)) is None
+        # recomputed and stored again, instead of a DomainError
+        second = run_sweep(plan, cache_dir=str(tmp_path))
+        assert second.rows == first.rows
+        assert payload.read_bytes() == stored
 
     @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5"])
     def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
