@@ -24,6 +24,15 @@ SPATIAL_POWER = "power"
 SPATIAL_SINE = "sine"
 
 
+def _ensure_finite(datum, *names) -> None:
+    """``DomainError`` naming the first of ``names`` that is not finite."""
+    for name in names:
+        value = getattr(datum, name)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"{type(datum).__name__} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceTerm:
     """One separable source term ``scale * s(x) * t^temporal_exponent``.
@@ -40,6 +49,7 @@ class SourceTerm:
     scale: float = 1.0
 
     def __post_init__(self):
+        _ensure_finite(self, "scale", "spatial_param", "temporal_exponent")
         if self.spatial_kind not in (SPATIAL_POWER, SPATIAL_SINE):
             raise DomainError(f"unknown spatial profile {self.spatial_kind!r}")
         if self.spatial_kind == SPATIAL_POWER and not self.spatial_param > -1.0:
@@ -68,6 +78,7 @@ class InitialData:
     mode: int = 1
 
     def __post_init__(self):
+        _ensure_finite(self, "scale", "exponent")
         if self.kind == "power":
             if not self.exponent > -1.0:
                 raise DomainError(

@@ -229,6 +229,8 @@ def _run_sweep(args) -> int:
 
 def _run_verify(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     results = run_property_suite(seed)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -115,6 +115,10 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
     noise floor at machine level rather than an adaptive stopping test.
     ``order`` must be a positive integer; ``rules`` is as in
     :func:`singular_integral`.
+
+    A Gauss-Jacobi rule integrates its bare weight exactly at every order
+    (its weights sum to the weight's integral), so ``order`` matters only
+    with a ``smooth`` factor: without one, ``order=1`` is exact.
     """
     a, b = _check_interval(a, b, p, q)
     if not isinstance(order, numbers.Integral) or order < 1:

@@ -252,3 +252,18 @@ class TestValidation:
             SourceTerm("power", -1.01, 0.0)
         with pytest.raises(DomainError):
             InitialData(kind="power", exponent=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: InitialData(kind="power", scale=v), "scale"),
+        (lambda v: InitialData(kind="sine", scale=v), "scale"),
+        (lambda v: InitialData(kind="power", exponent=v), "exponent"),
+        (lambda v: SourceTerm("power", 0.5, 0.0, scale=v), "scale"),
+        (lambda v: SourceTerm("power", v, 0.0), "spatial_param"),
+        (lambda v: SourceTerm("sine", v, 0.0), "spatial_param"),
+        (lambda v: SourceTerm("power", 0.5, v), "temporal_exponent"),
+    ], ids=["initial-scale", "sine-initial-scale", "initial-exponent",
+            "source-scale", "source-power", "source-mode", "source-time"])
+    def test_non_finite_datum_rejected(self, build, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            build(value)

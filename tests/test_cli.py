@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import time
+import warnings
 
 from fracstep.cli import main
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
@@ -89,6 +90,23 @@ class TestSolve:
             "--mode", "32", "--nx", "16", "--nt", "8")
         assert code == 3
         assert "aliasing" in err
+
+    def test_non_finite_exponent_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--experiment", "exp1", "--alpha", "0.5",
+            "--r", "inf", "--nx", "8", "--nt", "4")
+        assert code == 3
+        assert "exponent must be finite" in err and out == ""
+
+    def test_non_finite_scale_exits_three_without_warnings(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "solve", "--experiment", "exp2", "--alpha", "0.5",
+                "--c", "inf", "--nx", "8", "--nt", "4")
+        assert code == 3
+        assert "scale must be finite" in err and out == ""
+        assert not caught
 
     def test_over_budget_solve_exits_three_before_allocating(self, capsys):
         start = time.perf_counter()
@@ -275,6 +293,18 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
+
+    def test_negative_seed_exits_config_code(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err and out == ""
+
+    def test_negative_seed_in_config_file_exits_config_code(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("seed=-1\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert "seed" in err and out == ""
 
     def test_property_failure_exits_four(self, capsys, tampered_gamma):
         with tampered_gamma(1e-4):

@@ -85,6 +85,14 @@ def test_second_suite_run_computes_as_many_rules(rule_spy):
     assert first and second == first
 
 
+def test_no_rule_above_order_32(rule_spy):
+    # a cost guard that counts instead of timing: the adaptive loops stop by
+    # order 32 on the default seed, and a bare weight needs only one point
+    run_property_suite()
+    orders = {name: max(n for n, _, _ in keys) for name, keys in rule_spy.items()}
+    assert max(orders.values()) <= 32, orders
+
+
 def test_toeplitz_reads_one_dense_block_per_alpha(monkeypatch):
     # the shift comparison reads the dense matrix the property already holds
     calls = []

@@ -97,6 +97,23 @@ def test_gauss_jacobi_moment_exactness():
         assert value == pytest.approx(closed, rel=1e-10)
 
 
+def test_bare_weight_is_exact_at_every_order():
+    # a Gauss-Jacobi rule's weights sum to the weight's integral, so with no
+    # smooth factor the one-point rule already gives what order 200 gives
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = rng.uniform(-0.9, 2.0)
+        q = rng.uniform(-0.9, 2.0)
+        a = rng.uniform(-2.0, 2.0)
+        b = a + rng.uniform(0.1, 3.0)
+        one = fixed_order_integral(a, b, p=p, q=q, order=1)
+        assert one == pytest.approx(
+            fixed_order_integral(a, b, p=p, q=q, order=200), rel=1e-14)
+        closed = ((b - a) ** (p + q + 1.0) * scipy.special.gamma(p + 1.0)
+                  * scipy.special.gamma(q + 1.0) / scipy.special.gamma(p + q + 2.0))
+        assert one == pytest.approx(closed, rel=1e-13)
+
+
 # the integrals of the tests above, as (function, arguments, keywords)
 _CASES = [
     (singular_integral, (0.0, 1.0), {}),
