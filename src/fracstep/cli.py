@@ -195,7 +195,7 @@ def _run_solve(args) -> int:
                        "energy_gap": report.energy_gap,
                        "wall_time_s": report.wall_time},
         }
-        text = json.dumps(obj, indent=2) + "\n"
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     _write_output(args, text)
     return EXIT_OK
 
@@ -222,7 +222,7 @@ def _run_sweep(args) -> int:
     if (args.fmt or "csv") == "csv":
         text = table.to_csv_text()
     else:
-        text = json.dumps(table.to_json_obj(), indent=2) + "\n"
+        text = json.dumps(table.to_json_obj(), indent=2, allow_nan=False) + "\n"
     _write_output(args, text)
     return EXIT_OK
 

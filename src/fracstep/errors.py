@@ -21,7 +21,7 @@ class QuadratureError(FracstepError):
 
 
 class SolverError(FracstepError):
-    """A time step produced an unacceptable linear-solve residual."""
+    """A solve or its errors came out unacceptable: a residual, or a non-finite value."""
 
 
 class BudgetError(FracstepError):

@@ -10,12 +10,14 @@ A sweep runs on the unit horizon ``T = 1``, the default of
 reference problem on a fine nested grid once, solves each coarser level
 once, and integrates the space-time errors exactly on the common refinement
 (the difference is piecewise constant in time and piecewise linear in space,
-so no sampling is involved).  The reference is read once: its
-:class:`BlockMoments` (weighted means and scatters per interval) are
-coarsened to each level's time grid, finest first and each from the one
-before, and each level's error is then integrated on its own time grid
-through the exact identity of :func:`space_time_error`.  A plan without a
-reference measures each level against the experiment's exact solution.
+so no sampling is involved).  The reference is read once, as its
+:class:`BlockMoments` (weighted means and scatters per interval) on the
+finest level's time grid; these are coarsened to each coarser level's time
+grid, each from the one before, and each level's error is then integrated
+on its own time grid through the exact identity of
+:func:`space_time_error`.  The reference cache stores exactly those finest
+moments, not the reference field.  A plan without a reference measures each
+level against the experiment's exact solution.
 Observed orders are base-2 logarithms of consecutive error ratios on dyadic
 levels.
 
@@ -27,13 +29,14 @@ import hashlib
 import math
 import os
 import time
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import assembly, fem1d, solver
-from .errors import CHUNK, DomainError, NestingError
+from .errors import CHUNK, DomainError, NestingError, SolverError
 from .fracops import TemporalGrid, _ensure_order
 
 AXIS_SPACE = "space"
@@ -41,8 +44,10 @@ AXIS_TIME = "time"
 
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
-# change, so that entries written by earlier numerics are never served.
-_CACHE_FORMAT = "6"
+# or the entry layout change, so that entries written by earlier numerics or
+# in another layout are never served.  Format 7 stores the finest level's
+# moments (see :func:`_reference_moments`) with a crc32 in the sidecar.
+_CACHE_FORMAT = "7"
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +304,30 @@ class BlockMoments:
         zero = np.broadcast_to(0.0, (grid.num_steps,))  # no per-row storage
         return cls(grid, mesh, grid.tau, values, None, zero, zero)
 
+    def payload(self) -> np.ndarray:
+        """The moments as one flat array, the layout of a cache entry.
+
+        Ratio-1 moments are their field's rows; others are ``weights``,
+        ``means``, ``lows``, ``mass`` and ``stiff`` in turn, ``J (2 n + 3)``
+        values for ``J`` intervals and ``n`` interior nodes.
+        """
+        if self.lows is None:
+            return self.means.ravel()
+        return np.concatenate([self.weights, self.means.ravel(), self.lows.ravel(),
+                               self.mass, self.stiff])
+
+    @classmethod
+    def from_payload(cls, grid: TemporalGrid, mesh: fem1d.Mesh1D,
+                     payload: np.ndarray) -> "BlockMoments":
+        """Moments from :meth:`payload`'s layout, as views into ``payload``."""
+        steps, n = grid.num_steps, mesh.n_interior
+        if payload.size == steps * n:
+            return cls.of_values(grid, mesh, payload.reshape(steps, n))
+        weights, means, lows, mass, stiff = np.split(
+            payload, np.cumsum([steps, steps * n, steps * n, steps]))
+        return cls(grid, mesh, weights, means.reshape(steps, n), lows.reshape(steps, n),
+                   mass, stiff)
+
     def ratio(self, grid: TemporalGrid) -> int:
         """Intervals of these moments per interval of the nested ``grid``."""
         num_coarse = grid.num_steps
@@ -447,29 +476,43 @@ def _cache_paths(cache_dir: str, meta_text: str) -> tuple[str, str]:
     return base + ".bin", base + ".meta"
 
 
-def _reference_meta(plan: SweepPlan, n_cells: int, num_steps: int) -> dict:
+def _reference_meta(plan: SweepPlan) -> dict:
+    """The cache key of ``plan``'s reference moments on its finest level's grid."""
+    ref_nx, ref_nt = plan.reference
     # sweeps always run on T = 1; "T" stays in the key so cache names do not change
     meta = {"format": _CACHE_FORMAT, "experiment": plan.experiment,
             "alpha": float(plan.alpha), "T": 1.0,
-            "n_cells": str(n_cells), "num_steps": str(num_steps)}
+            "n_cells": str(ref_nx), "num_steps": str(ref_nt),
+            "moment_steps": str(max(nt for _, nt in plan.levels))}
     for key in sorted(plan.params):
         meta[f"param_{key}"] = float(plan.params[key])
     return meta
 
 
+def _checksum_line(payload: np.ndarray) -> str:
+    return f"crc32={zlib.crc32(payload)}\n"
+
+
 def load_cached_reference(cache_dir: str, meta: dict,
-                          shape: tuple[int, int]) -> np.ndarray | None:
+                          shape: tuple[int, ...]) -> np.ndarray | None:
+    """The entry stored under ``meta``, or ``None`` when it cannot be served.
+
+    An entry is served only when its sidecar holds ``meta`` and the
+    payload's crc32, and its payload has ``shape``'s size and finite values.
+    """
     meta_text = _cache_meta_text(meta)
     bin_path, meta_path = _cache_paths(cache_dir, meta_text)
     if not (os.path.exists(bin_path) and os.path.exists(meta_path)):
         return None
     with open(meta_path, "r") as fh:
-        if fh.read() != meta_text:  # any metadata mismatch invalidates
-            return None
+        sidecar = fh.read()
+    if not sidecar.startswith(meta_text):  # any metadata mismatch invalidates
+        return None
     data = np.fromfile(bin_path, dtype="<f8")
-    # a torn or corrupt payload is a miss; this is the one finiteness check
-    # of a cached reference, which is never wrapped in a SpaceTimeField
-    if data.size != shape[0] * shape[1] or not np.isfinite(data).all():
+    # a torn, corrupt or altered payload is a miss; this is the one finiteness
+    # check of a cached reference, which is never wrapped in a SpaceTimeField
+    if (data.size != math.prod(shape) or sidecar != meta_text + _checksum_line(data)
+            or not np.isfinite(data).all()):
         return None
     return data.reshape(shape)
 
@@ -487,12 +530,17 @@ def _write_by_rename(path: str, write) -> None:
 
 
 def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
-    """Write one cache entry; the sidecar lands last, so a torn entry is a miss."""
+    """Write one cache entry; the sidecar lands last, so a torn entry is a miss.
+
+    The sidecar is ``meta`` as text with the payload's crc32 as its last line.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     meta_text = _cache_meta_text(meta)
     bin_path, meta_path = _cache_paths(cache_dir, meta_text)
-    _write_by_rename(bin_path, np.asarray(values, dtype="<f8").tofile)
-    _write_by_rename(meta_path, lambda fh: fh.write(meta_text.encode()))
+    payload = np.ascontiguousarray(values, dtype="<f8")
+    _write_by_rename(bin_path, payload.tofile)
+    sidecar = meta_text + _checksum_line(payload)
+    _write_by_rename(meta_path, lambda fh: fh.write(sidecar.encode()))
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +548,40 @@ def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def _reference_moments(plan: SweepPlan, spec, cache_dir: str | None):
-    """The reference as ratio-1 moments, from the cache or solved (and stored).
+    """The reference's moments on the finest level's time grid, cached or solved.
 
-    Returns the moments and the solve's energy gap (0 on a cache hit).
+    A cache entry holds exactly these moments (:meth:`BlockMoments.payload`),
+    keyed by the reference and the finest level's step count, so a plan with
+    another finest level misses and solves again.  Cold, warm and uncached
+    runs all coarsen from the same flat payload, so their results agree bit
+    for bit.  Returns the moments and the solve's energy gap (0 on a hit).
     """
     ref_nx, ref_nt = plan.reference
-    grid, mesh = TemporalGrid.uniform(ref_nt), fem1d.Mesh1D(ref_nx)
-    meta = _reference_meta(plan, ref_nx, ref_nt)
+    finest = max(nt for _, nt in plan.levels)
+    grid, mesh = TemporalGrid.uniform(finest), fem1d.Mesh1D(ref_nx)
+    n = mesh.n_interior
+    size = finest * (n if finest == ref_nt else 2 * n + 3)
+    meta = _reference_meta(plan)
     if cache_dir is not None:
-        cached = load_cached_reference(cache_dir, meta, (ref_nt, ref_nx - 1))
-        if cached is not None:
-            return BlockMoments.of_values(grid, mesh, cached), 0.0
-    field, report = solver.solve(spec, grid, mesh)
+        payload = load_cached_reference(cache_dir, meta, (size,))
+        if payload is not None:
+            return BlockMoments.from_payload(grid, mesh, payload), 0.0
+    field, report = solver.solve(spec, TemporalGrid.uniform(ref_nt), mesh)
+    payload = BlockMoments.of_values(field.grid, mesh, field.values).coarsen(grid).payload()
     if cache_dir is not None:
-        store_reference(cache_dir, meta, field.values)
-    return BlockMoments.of_values(grid, mesh, field.values), report.energy_gap
+        store_reference(cache_dir, meta, payload)
+    return BlockMoments.from_payload(grid, mesh, payload), report.energy_gap
 
 
 def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable:
     """Execute a sweep plan and return its convergence table.
 
-    The reference solution is cached on disk (keyed by experiment, alpha,
-    data parameters and resolutions) when a cache directory is configured,
-    either explicitly or through the ``FRACSTEP_CACHE_DIR`` environment
-    variable.
+    The reference's moments on the finest level's time grid are cached on
+    disk (keyed by experiment, alpha, data parameters, the reference's
+    resolutions and the finest level's step count) when a cache directory
+    is configured, either explicitly or through the ``FRACSTEP_CACHE_DIR``
+    environment variable.  A level whose errors are not finite raises
+    :class:`SolverError`.
     """
     start = time.perf_counter()
     spec = experiment_problem(plan.experiment, plan.alpha, **plan.params)
@@ -536,7 +594,7 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     max_gap = 0.0
 
     # the reference's moments on each level's time grid, finest first, each
-    # coarsened from the one before; the reference is released after the first
+    # coarsened from the one before (to the finest grid, it is itself)
     moments = {}
     if plan.reference is not None:
         reference, max_gap = _reference_moments(plan, spec, cache_dir)
@@ -550,13 +608,16 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     for i, (n_cells, num_steps) in enumerate(plan.levels):
         level_field, report = solver.solve(
             spec, TemporalGrid.uniform(num_steps), fem1d.Mesh1D(n_cells))
-        max_gap = max(max_gap, report.energy_gap)
+        max_gap = float(np.maximum(max_gap, report.energy_gap))  # keeps a NaN
         if plan.reference is not None:
             e1, e2 = space_time_error(level_field, moments[num_steps])
             if last_use[num_steps] == i:
                 del moments[num_steps]
         else:
             e1, e2 = spec.exact.error_norms(level_field)
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            raise SolverError(f"level ({n_cells}, {num_steps}): errors E1={e1}, "
+                              f"E2={e2} are not finite")
         e1s.append(e1)
         e2s.append(e2)
         rows.append({"h": 1.0 / n_cells, "tau": 1.0 / num_steps,

@@ -34,6 +34,7 @@ computed for all of its steps at once, and a failing residual raises
 :class:`SolverError` naming the first bad step.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -99,7 +100,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     anything is allocated.  Each step's linear residual is checked against
     ``RESIDUAL_TOL`` (relative to the step right-hand side) once its leaf is
     marched; the Galerkin energy identity is accumulated per leaf from
-    explicitly computed matrix actions and reported as a relative gap.
+    explicitly computed matrix actions and reported as a relative gap.  A
+    residual or an energy gap that is not finite raises :class:`SolverError`.
     """
     if mesh.n_cells * grid.num_steps > BUDGET:
         raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
@@ -161,7 +163,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
         scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
                            + np.linalg.norm(rhs, axis=1), 1e-300)
         residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
-        bad = np.flatnonzero(residuals[steps] > RESIDUAL_TOL)
+        bad = np.flatnonzero(~(residuals[steps] <= RESIDUAL_TOL))  # NaN fails too
         if bad.size:
             k = lo + bad[0]
             raise SolverError(
@@ -172,6 +174,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
         del near, hist, rhs, action, step_matrices
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
+    if not math.isfinite(gap):
+        raise SolverError(f"energy gap {gap} is not finite")
     report = SolveReport(residual_norms=residuals,
                          wall_time=time.perf_counter() - start, energy_gap=gap)
     return SpaceTimeField(grid, mesh, values), report

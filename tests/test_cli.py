@@ -4,6 +4,8 @@ import re
 import time
 import warnings
 
+import pytest
+
 from fracstep.cli import main
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
 
@@ -108,6 +110,19 @@ class TestSolve:
         assert "scale must be finite" in err and out == ""
         assert not caught
 
+    # values near 1e306 square to inf, so the step residuals are NaN; near
+    # 1e158 the residuals pass but the energy sums overflow
+    @pytest.mark.parametrize("scale, message", [("1e308", "residual nan"),
+                                                ("1e160", "energy gap nan")])
+    def test_overflowing_data_exits_three(self, capsys, scale, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "solve", "--experiment", "exp2", "--alpha", "0.5",
+                "--c", scale, "--nx", "8", "--nt", "4", "--format", "json")
+        assert code == 3
+        assert message in err and out == ""
+
     def test_over_budget_solve_exits_three_before_allocating(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(
@@ -200,6 +215,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, *args, "--output", str(second))
         assert code == 0, err
         assert first.read_bytes() == second.read_bytes()
+
+    def test_overflowing_data_exits_three(self, tmp_path, capsys):
+        # at c = 1e160 the energy sums and squared errors overflow; the JSON
+        # once held Infinity and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "sweep", "--experiment", "exp2", "--axis", "time",
+                "--c", "1e160", "--nx", "8", "--nt", "4", "--levels", "2",
+                "--ref-nx", "8", "--ref-nt", "16", "--format", "json",
+                "--cache-dir", str(tmp_path / "cache"))
+        assert code == 3
+        assert "not finite" in err and out == ""
 
     def test_given_reference_replaces_the_exact_solution(self, tmp_path, capsys):
         # the manufactured time plan measures against its exact solution by

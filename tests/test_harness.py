@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 import os
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from fracstep import fem1d, harness, solver
-from fracstep.errors import CHUNK, BudgetError, DomainError, NestingError
+from fracstep.errors import CHUNK, BudgetError, DomainError, NestingError, SolverError
 from fracstep.fracops import TemporalGrid
 from fracstep.harness import (
     EXPERIMENTS,
@@ -434,6 +436,19 @@ class TestExperimentRegistry:
             experiment_problem("experiment3", 0.8, sigma=0.3)
 
 
+def _counted_solve_steps(monkeypatch) -> list:
+    """Record the step count of every ``solver.solve`` call from here on."""
+    steps = []
+    real = solver.solve
+
+    def counting(spec, grid, mesh, *args, **kwargs):
+        steps.append(grid.num_steps)
+        return real(spec, grid, mesh, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    return steps
+
+
 class TestCache:
     def test_roundtrip_and_mismatch(self, tmp_path):
         meta = {"format": "1", "experiment": "check", "alpha": 0.5,
@@ -490,22 +505,83 @@ class TestCache:
         assert first.rows[0]["E1"] == second.rows[0]["E1"]
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
 
+    def test_entry_holds_the_finest_moments(self, tmp_path):
+        # finest level 16 steps, 15 interior nodes: weights, means, lows,
+        # mass and stiff are 16 * (2 * 15 + 3) values
+        plan = default_plan(**TINY_PLAN)
+        run_sweep(plan, cache_dir=str(tmp_path))
+        (payload,) = tmp_path.glob("*.bin")
+        stored = np.fromfile(payload, dtype="<f8")
+        assert stored.size == 16 * (2 * 15 + 3)
+        spec = experiment_problem(plan.experiment, plan.alpha)
+        field, _ = solver.solve(spec, TemporalGrid.uniform(64), fem1d.Mesh1D(16))
+        expected = BlockMoments.of_values(field.grid, field.mesh, field.values).coarsen(
+            TemporalGrid.uniform(16))
+        parts = np.split(stored, np.cumsum([16, 16 * 15, 16 * 15, 16]))
+        for part, array in zip(parts, (expected.weights, expected.means, expected.lows,
+                                       expected.mass, expected.stiff)):
+            assert np.array_equal(part, array.ravel())
+        sidecar = payload.with_suffix(".meta").read_text().splitlines()
+        assert "moment_steps=16" in sidecar
+        assert sidecar[-1] == f"crc32={zlib.crc32(stored)}"
+
+    def test_cold_warm_and_uncached_csvs_agree(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(harness.CACHE_ENV_VAR)
+        plan = default_plan(**TINY_PLAN)
+        uncached = run_sweep(plan).to_csv_text()
+        cold = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
+        steps = _counted_solve_steps(monkeypatch)
+        warm = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
+        assert steps == [4, 8, 16]  # the reference was read, not solved
+        assert cold == warm == uncached
+
+    def test_other_finest_level_misses_and_recomputes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(harness.CACHE_ENV_VAR)
+        plan = default_plan(**TINY_PLAN)
+        run_sweep(plan, cache_dir=str(tmp_path))
+        coarser = default_plan(**dict(TINY_PLAN, count=2))  # finest level 8 steps
+        steps = _counted_solve_steps(monkeypatch)
+        table = run_sweep(coarser, cache_dir=str(tmp_path))
+        assert 64 in steps
+        assert len(list(tmp_path.glob("*.bin"))) == 2
+        assert table.to_csv_text() == run_sweep(coarser).to_csv_text()
+
     def test_non_finite_payload_is_a_miss(self, tmp_path):
         plan = default_plan(**TINY_PLAN)
         first = run_sweep(plan, cache_dir=str(tmp_path))
         payload = next(tmp_path.glob("*.bin"))
         stored = payload.read_bytes()
+        meta = harness._reference_meta(plan)
+        size = len(stored) // 8
+        assert load_cached_reference(str(tmp_path), meta, (size,)) is not None
         corrupt = np.frombuffer(stored, dtype="<f8").copy()
         corrupt[100] = np.nan
         payload.write_bytes(corrupt.tobytes())
-        meta = harness._reference_meta(plan, 16, 64)
-        assert load_cached_reference(str(tmp_path), meta, (64, 15)) is None
+        # a matching checksum, so that only the finiteness check can refuse it
+        sidecar = payload.with_suffix(".meta")
+        text = sidecar.read_text()
+        sidecar.write_text(text[:text.rindex("crc32=")] + f"crc32={zlib.crc32(corrupt)}\n")
+        assert load_cached_reference(str(tmp_path), meta, (size,)) is None
         # recomputed and stored again, instead of a DomainError
         second = run_sweep(plan, cache_dir=str(tmp_path))
         assert second.rows == first.rows
         assert payload.read_bytes() == stored
 
-    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5"])
+    def test_altered_finite_value_fails_the_checksum(self, tmp_path):
+        plan = default_plan(**TINY_PLAN)
+        first = run_sweep(plan, cache_dir=str(tmp_path))
+        payload = next(tmp_path.glob("*.bin"))
+        stored = payload.read_bytes()
+        altered = np.frombuffer(stored, dtype="<f8").copy()
+        altered[100] += 1.0
+        payload.write_bytes(altered.tobytes())
+        meta = harness._reference_meta(plan)
+        assert load_cached_reference(str(tmp_path), meta, (altered.size,)) is None
+        second = run_sweep(plan, cache_dir=str(tmp_path))
+        assert second.rows == first.rows
+        assert payload.read_bytes() == stored
+
+    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5", "6"])
     def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
         # the entry an older format wrote for this plan's reference, filled with junk
         old_meta = {"format": old_format, "experiment": "manufactured", "alpha": 0.8,
@@ -516,6 +592,31 @@ class TestCache:
         served = run_sweep(plan, cache_dir=str(tmp_path / "old"))
         fresh = run_sweep(plan, cache_dir=str(tmp_path / "fresh"))
         assert served.rows == fresh.rows
+
+
+class TestClosedGates:
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_energy_gap_at_any_level_shows(self, monkeypatch, position):
+        plan = SweepPlan(experiment="manufactured", alpha=0.8, axis="time",
+                         levels=((4, 4), (4, 8), (4, 16)), reference=None)
+        real = solver.solve
+        calls = []
+
+        def solve(*args, **kwargs):
+            field, report = real(*args, **kwargs)
+            if len(calls) == position:
+                report = dataclasses.replace(report, energy_gap=math.nan)
+            calls.append(position)
+            return field, report
+
+        monkeypatch.setattr(solver, "solve", solve)
+        assert math.isnan(run_sweep(plan).meta["max_energy_gap"])
+
+    @pytest.mark.parametrize("errors", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_level_error_raises(self, monkeypatch, errors):
+        monkeypatch.setattr(harness, "space_time_error", lambda *args: errors)
+        with pytest.raises(SolverError, match="not finite"):
+            run_sweep(default_plan(**TINY_PLAN))
 
 
 class TestTableFormats:
