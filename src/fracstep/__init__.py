@@ -9,11 +9,9 @@ executable property suite for the operator identities.
 
 from .assembly import (
     InitialData,
-    ManufacturedSolution,
     ProblemSpec,
     SourceTerm,
     assemble_load,
-    manufactured_problem,
     spectral_test_problem,
 )
 from .errors import (
@@ -44,9 +42,11 @@ from .fracops import (
 from .gammafn import gamma_fn
 from .harness import (
     ConvergenceTable,
+    ManufacturedSolution,
     SweepPlan,
     default_plan,
     expected_orders,
+    manufactured_problem,
     order_fit,
     run_sweep,
     space_time_error,

@@ -218,7 +218,10 @@ def _run_sweep(args) -> int:
     plan = harness.default_plan(
         tag, axis, alpha=args.alpha, params=_experiment_params(entry, args),
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)
-    table = harness.run_sweep(plan, cache_dir=args.cache_dir)
+    try:
+        table = harness.run_sweep(plan, cache_dir=args.cache_dir)
+    except OSError as exc:  # an unusable cache directory
+        raise ConfigError(f"cannot use the reference cache: {exc}") from exc
     if (args.fmt or "csv") == "csv":
         text = table.to_csv_text()
     else:

@@ -3,7 +3,8 @@
 ``EXPERIMENTS`` is the one place an experiment is defined.  Keyed by the
 canonical tag, each record holds the CLI aliases, the data parameters with
 their defaults, a mesh-free spec builder and the desk-scale plan per axis;
-the CLI, the sweeps and the property suite all read it.
+the CLI, the sweeps and the property suite all read it.  The spec builders
+live here, the manufactured problem with its exact solution among them.
 
 A sweep runs on the unit horizon ``T = 1``, the default of
 :meth:`TemporalGrid.uniform`.  A plan with a reference level solves that
@@ -17,7 +18,9 @@ grid, each from the one before, and each level's error is then integrated
 on its own time grid through the exact identity of
 :func:`space_time_error`.  The reference cache stores exactly those finest
 moments, not the reference field.  A plan without a reference measures each
-level against the experiment's exact solution.
+level against the experiment's exact solution.  Every reported E1/E2, the
+manufactured solution's exact norms included, is reduced by the one chunked
+error kernel :func:`_block_forms`.
 Observed orders are base-2 logarithms of consecutive error ratios on dyadic
 levels.
 
@@ -38,6 +41,7 @@ import numpy as np
 from . import assembly, fem1d, solver
 from .errors import CHUNK, DomainError, NestingError, SolverError
 from .fracops import TemporalGrid, _ensure_order
+from .gammafn import gamma_fn
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
@@ -60,7 +64,7 @@ class Experiment:
 
     ``aliases`` are the names ``fracstep --experiment`` accepts.  ``params``
     maps each data parameter to its default, ``None`` where it is required.
-    ``build(alpha, **params)`` returns the mesh-free spec.
+    ``build(alpha=..., **params)`` (keywords only) returns the mesh-free spec.
     ``plans`` maps an axis to the desk-scale settings of :func:`default_plan`.
     """
 
@@ -93,9 +97,88 @@ def _experiment3(alpha):
         alpha=alpha, sources=(assembly.SourceTerm(assembly.SPATIAL_POWER, -0.49, -0.29),))
 
 
-def _spectral(alpha, *, mode):
-    return assembly.spectral_test_problem(mode, alpha)
+class ManufacturedSolution:
+    """Exact solution ``u = t^2 sin(pi x)`` and its space-time error norms."""
 
+    def __call__(self, x, t):
+        return np.asarray(t, dtype=float) ** 2 * np.sin(math.pi * np.asarray(x))
+
+    def error_norms(self, field) -> tuple[float, float]:
+        """Exact (E1, E2) distances of a ``solver.SpaceTimeField`` from the solution.
+
+        Let ``s = sin(pi x)``, ``I_h s`` its nodal interpolant (in 1D also its
+        Ritz projection) and ``P_h s = beta I_h s`` its L2 projection, with
+        ``beta = 3 (sin x / x)^2 / (3 - 2 sin^2 x)`` and ``x = pi h / 2``.  On
+        interval ``k`` with midpoint ``c_k``, ``t^2`` has mean
+        ``m_k = c_k^2 + tau_k^2 / 12`` and ``int (t^2 - m_k)^2 dt = v_k =
+        tau_k (c_k^2 tau_k^2 / 3 + tau_k^4 / 180)``.  Splitting ``u - U_k``
+        into orthogonal parts gives
+
+            E2^2 = h sum_k tau_k (s0 - g/6)(U_k - m_k P_h s)
+                   + sum_k v_k ||P_h s||^2 + (int t^4) ||s - P_h s||^2,
+            E1^2 = sum_k tau_k g(U_k - m_k I_h s) / h
+                   + sum_k v_k |I_h s|_1^2 + (int t^4) |s - I_h s|_1^2,
+
+        with the band sums ``s0`` and ``g`` of :func:`fem1d.band_sums`,
+        ``||P_h s||^2 = beta (sin x / x)^2 / 2``, ``|I_h s|_1^2 = 2 n^2
+        sin^2 x``, ``||s - P_h s||^2 = (1 - beta (sin x / x)^2) / 2`` and
+        ``|s - I_h s|_1^2 = (pi^2 / 2)(1 - (sin x / x)^2)``; the last two are
+        power series in ``x^2``.  Every term is nonnegative, so nothing
+        cancels.  The band terms are the ``stiff`` sum of :func:`_block_forms`
+        about ``m_k I_h s`` and its ``mass`` sum about ``m_k P_h s``.
+        """
+        grid, mesh = field.grid, field.mesh
+        h = mesh.h
+        x = 0.5 * math.pi * h
+        sin_sq = math.sin(x) ** 2
+        sinc_sq = sin_sq / (x * x)
+        beta = 3.0 * sinc_sq / (3.0 - 2.0 * sin_sq)
+        tau = grid.tau
+        mid = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+        mean = mid ** 2 + tau ** 2 / 12.0
+        variance = float(np.sum(tau * (mid ** 2 * tau ** 2 / 3.0 + tau ** 4 / 180.0)))
+        t4 = grid.final_time ** 5 / 5.0
+        interp = fem1d.sine_vector(mesh, 1)
+        projection = beta * interp
+        moments = BlockMoments.of_values(grid, mesh, field.values)
+        _, stiff = _block_forms(moments, grid.num_steps,
+                                lambda k: np.multiply.outer(mean[k], interp))
+        mass, _ = _block_forms(moments, grid.num_steps,
+                               lambda k: np.multiply.outer(mean[k], projection))
+        # 1 - (sin x / x)^2 and 1 - beta (sin x / x)^2 as power series in x^2,
+        # smallest terms first (x <= pi/4, so 20 terms reach the last digit);
+        # the second is 3 - 3 (sin x / x)^4 - 2 sin^2 x, whose x^0 and x^2
+        # terms cancel exactly, over 3 - 2 sin^2 x
+        x2 = x * x
+        interp_defect = sum((-1) ** (j + 1) * 2.0 ** (2 * j + 1) * x2 ** j
+                            / math.factorial(2 * j + 2) for j in range(20, 0, -1))
+        projection_defect = sum(
+            (-1) ** j * x2 ** j * (4.0 ** j / math.factorial(2 * j)
+                                   - 3.0 * (16.0 ** (j + 2) - 4.0 ** (j + 3))
+                                   / (8.0 * math.factorial(2 * j + 4)))
+            for j in range(20, 1, -1)) / (3.0 - 2.0 * sin_sq)
+        e1_sq = (float(np.sum(stiff)) / h
+                 + variance * 2.0 * mesh.n_cells ** 2 * sin_sq
+                 + t4 * 0.5 * math.pi ** 2 * interp_defect)
+        e2_sq = (h * float(np.sum(mass))
+                 + variance * 0.5 * beta * sinc_sq
+                 + t4 * 0.5 * projection_defect)
+        return math.sqrt(e1_sq), math.sqrt(e2_sq)
+
+
+def manufactured_problem(alpha: float) -> assembly.ProblemSpec:
+    """Zero initial value and the source whose exact solution is ``t^2 sin(pi x)``.
+
+    The source is the fractional time derivative of the solution plus its
+    negative Laplacian: ``[2/Gamma(3-alpha)] t^(2-alpha) sin(pi x)
+    + pi^2 t^2 sin(pi x)``.
+    """
+    sources = (
+        assembly.SourceTerm(assembly.SPATIAL_SINE, 1, 2.0 - alpha,
+                            2.0 / gamma_fn(3.0 - alpha)),
+        assembly.SourceTerm(assembly.SPATIAL_SINE, 1, 2.0, math.pi ** 2),
+    )
+    return assembly.ProblemSpec(alpha=alpha, sources=sources, exact=ManufacturedSolution())
 
 # keyed by the canonical tag, which sweep metadata and cache keys carry
 EXPERIMENTS = {
@@ -119,13 +202,14 @@ EXPERIMENTS = {
                AXIS_TIME: dict(alpha=0.8, params={}, nx=256, nt=16, count=5,
                                reference=(256, 4096))}),
     "manufactured": Experiment(
-        aliases=("manufactured",), params={}, build=assembly.manufactured_problem,
+        aliases=("manufactured",), params={}, build=manufactured_problem,
         plans={AXIS_SPACE: dict(alpha=0.8, params={}, nx=8, nt=1024, count=5,
                                 reference=(2048, 1024)),
                AXIS_TIME: dict(alpha=0.8, params={}, nx=256, nt=16, count=6,
                                reference=None)}),
     "spectral_test": Experiment(
-        aliases=("spectral",), params={"mode": None}, build=_spectral, plans={}),
+        aliases=("spectral",), params={"mode": None},
+        build=assembly.spectral_test_problem, plans={}),
 }
 
 
@@ -146,7 +230,7 @@ def experiment_problem(experiment: str, alpha: float, **params) -> assembly.Prob
     for name, value in values.items():
         if value is None:
             raise DomainError(f"{experiment} needs the parameter {name!r}")
-    return entry.build(alpha, **values)
+    return entry.build(alpha=alpha, **values)
 
 # ---------------------------------------------------------------------------
 # sweep plans and tables

@@ -418,7 +418,7 @@ def prop_manufactured_residual(rng) -> PropertyResult:
     """The manufactured source satisfies the PDE of its exact solution."""
     worst = 0.0
     for alpha in (0.3, 0.5, 0.8):
-        spec = assembly.manufactured_problem(alpha)
+        spec = harness.manufactured_problem(alpha)
         tpow = fracops.derivative_power_function(PowerFunction(1.0, 2.0), alpha)
         for _ in range(20):
             x = rng.uniform(0.05, 0.95)

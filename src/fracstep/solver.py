@@ -125,53 +125,55 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     lhs_energy = 0.0
     rhs_energy = 0.0
 
-    # rows not solved yet accumulate the history of the earlier blocks
-    for lo, mid, hi in _causal_blocks(0, J):
-        if mid < hi:
-            values[mid:hi] += weights.history_block(values, lo, mid, hi)
-            continue
-        steps = slice(lo, hi)
-        near = weights.block(steps, steps)
-        diag_weights = near.diagonal()
-        bad = np.flatnonzero(~(diag_weights > 0.0))
-        if bad.size:
-            raise SolverError(f"non-positive diagonal weight at step {lo + bad[0]}")
-        # the step matrices G_kk M + tau_k K, one band row per step; on a
-        # uniform grid the first step's matrix serves every step
-        step_tau = tau[steps]
-        if uniform:
-            diag_weights, step_tau = diag_weights[:1], tau[:1]
-        step_matrices = fem1d.TridiagonalMatrix(
-            diag_weights[:, None] * mass.diag + step_tau[:, None] * stiffness.diag,
-            diag_weights[:, None] * mass.off + step_tau[:, None] * stiffness.off)
-        hist = np.empty((hi - lo, N))
-        for i, k in enumerate(range(lo, hi)):
-            if factor is None or not uniform:
-                factor = fem1d.TridiagonalMatrix(step_matrices.diag[i],
-                                                 step_matrices.off[i]).factor()
-            hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
-            values[k] = factor.solve(loads[k] - hist[i])
+    # the checks below refuse the infinities and NaNs of overflowing data
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows not solved yet accumulate the history of the earlier blocks
+        for lo, mid, hi in _causal_blocks(0, J):
+            if mid < hi:
+                values[mid:hi] += weights.history_block(values, lo, mid, hi)
+                continue
+            steps = slice(lo, hi)
+            near = weights.block(steps, steps)
+            diag_weights = near.diagonal()
+            bad = np.flatnonzero(~(diag_weights > 0.0))
+            if bad.size:
+                raise SolverError(f"non-positive diagonal weight at step {lo + bad[0]}")
+            # the step matrices G_kk M + tau_k K, one band row per step; on a
+            # uniform grid the first step's matrix serves every step
+            step_tau = tau[steps]
+            if uniform:
+                diag_weights, step_tau = diag_weights[:1], tau[:1]
+            step_matrices = fem1d.TridiagonalMatrix(
+                diag_weights[:, None] * mass.diag + step_tau[:, None] * stiffness.diag,
+                diag_weights[:, None] * mass.off + step_tau[:, None] * stiffness.off)
+            hist = np.empty((hi - lo, N))
+            for i, k in enumerate(range(lo, hi)):
+                if factor is None or not uniform:
+                    factor = fem1d.TridiagonalMatrix(step_matrices.diag[i],
+                                                     step_matrices.off[i]).factor()
+                hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
+                values[k] = factor.solve(loads[k] - hist[i])
 
-        # residual and energy checks for the whole leaf
-        u = values[steps]
-        rhs = loads[steps] - hist
-        action = step_matrices.matvec(u)
-        # normwise backward-error scale ||A|| ||u|| + ||rhs||, so the check
-        # stays meaningful when the stiffness part dominates on fine meshes
-        matrix_norm = (np.max(np.abs(step_matrices.diag), axis=1)
-                       + 2.0 * np.max(np.abs(step_matrices.off), axis=1, initial=0.0))
-        scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
-                           + np.linalg.norm(rhs, axis=1), 1e-300)
-        residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
-        bad = np.flatnonzero(~(residuals[steps] <= RESIDUAL_TOL))  # NaN fails too
-        if bad.size:
-            k = lo + bad[0]
-            raise SolverError(
-                f"step {k} residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:.1e}")
-        lhs_energy += float(np.vdot(u, hist + action))
-        rhs_energy += float(np.vdot(u, loads[steps]))
-        # free the leaf's arrays before the next merge allocates its own
-        del near, hist, rhs, action, step_matrices
+            # residual and energy checks for the whole leaf
+            u = values[steps]
+            rhs = loads[steps] - hist
+            action = step_matrices.matvec(u)
+            # normwise backward-error scale ||A|| ||u|| + ||rhs||, so the check
+            # stays meaningful when the stiffness part dominates on fine meshes
+            matrix_norm = (np.max(np.abs(step_matrices.diag), axis=1)
+                           + 2.0 * np.max(np.abs(step_matrices.off), axis=1, initial=0.0))
+            scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
+                               + np.linalg.norm(rhs, axis=1), 1e-300)
+            residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
+            bad = np.flatnonzero(~(residuals[steps] <= RESIDUAL_TOL))  # NaN fails too
+            if bad.size:
+                k = lo + bad[0]
+                raise SolverError(
+                    f"step {k} residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:.1e}")
+            lhs_energy += float(np.vdot(u, hist + action))
+            rhs_energy += float(np.vdot(u, loads[steps]))
+            # free the leaf's arrays before the next merge allocates its own
+            del near, hist, rhs, action, step_matrices
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
     if not math.isfinite(gap):

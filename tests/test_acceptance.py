@@ -139,6 +139,35 @@ def test_criterion_4_manufactured_convergence(manufactured_tables):
                f"(1.0+-0.1) in {elapsed:.0f}s")
 
 
+# E1/E2 of the two manufactured desk tables, frozen; numerics that move them
+# must re-record them
+MANUFACTURED_SPACE_ERRORS = [
+    (0.11235990987350737, 0.0037712521164762749),
+    (0.056277507780239634, 0.00094259757204716548),
+    (0.028148524916718411, 0.00023560442097164),
+    (0.014070648780411459, 5.8867221054438687e-05),
+    (0.0070251936365258692, 1.4683616509048675e-05),
+]
+MANUFACTURED_TIME_ERRORS = [
+    (0.046708694915729619, 0.014825293907008458),
+    (0.023525199459624321, 0.0074037539232280824),
+    (0.012138475039792528, 0.0036975695768983294),
+    (0.0067869549481334168, 0.0018469681381228311),
+    (0.0045599606066900186, 0.00092273533594867518),
+    (0.0038060066013666386, 0.00046105260814024578),
+]
+
+
+def test_manufactured_tables_match_frozen_errors(manufactured_tables):
+    spatial, temporal, _ = manufactured_tables
+    for table, frozen in ((spatial, MANUFACTURED_SPACE_ERRORS),
+                          (temporal, MANUFACTURED_TIME_ERRORS)):
+        assert len(table.rows) == len(frozen)
+        for row, (e1, e2) in zip(table.rows, frozen):
+            assert row["E1"] == pytest.approx(e1, rel=1e-12, abs=0.0)
+            assert row["E2"] == pytest.approx(e2, rel=1e-12, abs=0.0)
+
+
 def test_criterion_5_experiment1_desk_scale(experiment1_table):
     table, elapsed = experiment1_table
     _assert_monotone(table)

@@ -10,7 +10,6 @@ from fracstep.assembly import (
     SourceTerm,
     assemble_load,
     initial_time_factors,
-    manufactured_problem,
     power_time_factors,
     spectral_eigenvalue,
     spectral_test_problem,
@@ -18,6 +17,7 @@ from fracstep.assembly import (
 from fracstep.errors import CHUNK, DomainError
 from fracstep.fracops import PowerFunction, TemporalGrid, derivative_power_function
 from fracstep.gammafn import gamma_fn
+from fracstep.harness import manufactured_problem
 from fracstep.quadrature import fixed_order_integral
 
 from decimal_oracle import manufactured_error_norms

@@ -115,13 +115,14 @@ class TestSolve:
     @pytest.mark.parametrize("scale, message", [("1e308", "residual nan"),
                                                 ("1e160", "energy gap nan")])
     def test_overflowing_data_exits_three(self, capsys, scale, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run_cli(
                 capsys, "solve", "--experiment", "exp2", "--alpha", "0.5",
                 "--c", scale, "--nx", "8", "--nt", "4", "--format", "json")
         assert code == 3
         assert message in err and out == ""
+        assert not caught
 
     def test_over_budget_solve_exits_three_before_allocating(self, capsys):
         start = time.perf_counter()
@@ -219,8 +220,8 @@ class TestSweep:
     def test_overflowing_data_exits_three(self, tmp_path, capsys):
         # at c = 1e160 the energy sums and squared errors overflow; the JSON
         # once held Infinity and NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run_cli(
                 capsys, "sweep", "--experiment", "exp2", "--axis", "time",
                 "--c", "1e160", "--nx", "8", "--nt", "4", "--levels", "2",
@@ -228,6 +229,19 @@ class TestSweep:
                 "--cache-dir", str(tmp_path / "cache"))
         assert code == 3
         assert "not finite" in err and out == ""
+        assert not caught
+
+    def test_unusable_cache_dir_exits_two(self, tmp_path, capsys):
+        # the cache directory would lie under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "exp3", "--axis", "time", "--nx", "16",
+            "--nt", "4", "--levels", "2", "--ref-nx", "16", "--ref-nt", "64",
+            "--cache-dir", str(blocker / "cache"))
+        assert code == 2
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert out == ""
 
     def test_given_reference_replaces_the_exact_solution(self, tmp_path, capsys):
         # the manufactured time plan measures against its exact solution by
