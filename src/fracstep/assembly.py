@@ -108,32 +108,48 @@ class ProblemSpec:
         _ensure_order(self.alpha, 0, 1, "alpha")
 
 
-def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
+def _step_nodes(grid: TemporalGrid, steps: slice) -> np.ndarray:
+    """The nodes bounding the intervals ``steps``, a contiguous range of them."""
+    lo, hi, stride = steps.indices(grid.num_steps)
+    if stride != 1:
+        raise DomainError(f"step range must be contiguous, got stride {stride}")
+    return grid.nodes[lo:max(lo, hi) + 1]
+
+
+def initial_time_factors(grid: TemporalGrid, alpha: float,
+                         steps: slice = slice(None)) -> np.ndarray:
     """Per-interval integrals of the order-alpha derivative of a unit constant.
 
-    ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)``; the row sums of
-    the temporal weight matrix telescope to the same values.
+    ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)`` for the intervals
+    ``steps`` (all by default); the row sums of the temporal weight matrix
+    telescope to the same values.  Only those intervals' nodes are read.
     """
     alpha = _ensure_order(alpha, 0, 1, "alpha")
-    powers = grid.nodes ** (1.0 - alpha)
+    powers = _step_nodes(grid, steps) ** (1.0 - alpha)
     return np.diff(powers) / gamma_fn(2.0 - alpha)
 
 
-def power_time_factors(grid: TemporalGrid, exponent: float) -> np.ndarray:
-    """Per-interval integrals of ``t^exponent`` for ``exponent > -1``."""
+def power_time_factors(grid: TemporalGrid, exponent: float,
+                       steps: slice = slice(None)) -> np.ndarray:
+    """Per-interval integrals of ``t^exponent`` for ``exponent > -1``, over ``steps``."""
     if not exponent > -1.0:
         raise DomainError(f"temporal exponent must exceed -1, got {exponent}")
-    powers = grid.nodes ** (exponent + 1.0)
+    powers = _step_nodes(grid, steps) ** (exponent + 1.0)
     return np.diff(powers) / (exponent + 1.0)
 
 
-def assemble_load(spec: ProblemSpec, grid: TemporalGrid,
-                  mesh: fem1d.Mesh1D) -> np.ndarray:
-    """Full (J, N) load array: the initial-data term, then each source in order.
+def assemble_load(spec: ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
+                  steps: slice = slice(None)) -> np.ndarray:
+    """Rows ``steps`` of the (J, N) load array, all of them by default.
 
-    Each term is the outer product of its time factors and its hat moments.
+    The initial-data term, then each source in order; each term is the outer
+    product of its time factors and its hat moments.  The time factors are
+    evaluated on the nodes of ``steps`` only, so a range of steps costs its
+    own length, and its rows are bitwise the same rows of the full array:
+    every entry takes the same operations in the same order.
     """
-    out = np.zeros((grid.num_steps, mesh.n_interior))
+    nodes = _step_nodes(grid, steps)
+    out = np.zeros((nodes.size - 1, mesh.n_interior))
     init = spec.initial
     if init is not None:
         if init.kind == "power":
@@ -144,13 +160,13 @@ def assemble_load(spec: ProblemSpec, grid: TemporalGrid,
                                   f"aliasing, got {init.mode}")
             values = fem1d.sine_vector(mesh, init.mode)
             space = init.scale * fem1d.assemble_mass(mesh).matvec(values)
-        out += np.outer(initial_time_factors(grid, spec.alpha), space)
+        out += np.outer(initial_time_factors(grid, spec.alpha, steps), space)
     for term in spec.sources:
         if term.spatial_kind == SPATIAL_POWER:
             space = fem1d.power_load_vector(mesh, term.spatial_param)
         else:
             space = fem1d.sine_load_vector(mesh, int(term.spatial_param))
-        factors = power_time_factors(grid, term.temporal_exponent)
+        factors = power_time_factors(grid, term.temporal_exponent, steps)
         out += term.scale * np.outer(factors, space)
     return out
 

@@ -207,33 +207,33 @@ class TemporalWeightMatrix:
         """``sum_{j<k} G[k, j] * values[j]`` along the leading axis."""
         return self.block(slice(k, k + 1), slice(0, k))[0] @ values[:k]
 
-    def history_block(self, values: np.ndarray, lo: int, mid: int,
-                      hi: int) -> np.ndarray:
-        """Rows ``k`` in ``[mid, hi)`` of ``sum_{lo<=j<mid} G[k, j] * values[j]``.
+    def history_block(self, values: np.ndarray, lo: int, mid: int, hi: int) -> None:
+        """Add ``sum_{lo<=j<mid} G[k, j] * values[j]`` to each row ``k`` in ``[mid, hi)``.
 
-        Up to ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, this is
-        a dense product with :meth:`block`, in row chunks of at most
-        ``errors.CHUNK`` block values.  Longer uniform ranges are a Toeplitz
-        product, evaluated as a circular real FFT convolution of length ``n``
-        with time as the contiguous axis, over about ``errors.CHUNK`` values of
-        the past steps at a time, transposed and zero-padded to length ``n``.
+        The product is added in place, chunk by chunk, so no array of all its
+        rows is formed; rows outside ``[mid, hi)`` are not touched.  Up to
+        ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, it is a dense
+        product with :meth:`block`, in row chunks of at most ``errors.CHUNK``
+        block values.  Longer uniform ranges are a Toeplitz product, evaluated
+        as a circular real FFT convolution of length ``n`` with time as the
+        contiguous axis, over about ``errors.CHUNK`` values of the past steps
+        at a time (column chunks), transposed and zero-padded to length ``n``.
         Every lag ``k - j`` lies in ``1..n-1``, so no term wraps around.
         """
         n = hi - lo
         past = values[lo:mid]
-        out = np.empty((hi - mid, past.shape[1]))
         if self._kernel is None or n <= DENSE_MERGE:
             height = max(1, CHUNK // (mid - lo))
             for r in range(mid, hi, height):
-                rows = self.block(slice(r, min(r + height, hi)), slice(lo, mid))
-                out[r - mid:r - mid + height] = rows @ past
-            return out
+                rows = slice(r, min(r + height, hi))
+                values[rows] += self.block(rows, slice(lo, mid)) @ past
+            return
         width = max(1, CHUNK // n)
         kernel_spectrum = np.fft.rfft(self.block(slice(0, n), slice(0, 1))[:, 0])
         for c in range(0, past.shape[1], width):
-            spectrum = np.fft.rfft(past[:, c:c + width].T, n=n) * kernel_spectrum
-            out[:, c:c + width] = np.fft.irfft(spectrum, n=n)[:, mid - lo:].T
-        return out
+            spectrum = np.fft.rfft(past[:, c:c + width].T, n=n)
+            spectrum *= kernel_spectrum
+            values[mid:hi, c:c + width] += np.fft.irfft(spectrum, n=n)[:, mid - lo:].T
 
 
 def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:

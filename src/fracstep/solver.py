@@ -12,11 +12,11 @@ substitutions.
 The history sum is split causally over the steps (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A range of more than
 ``HISTORY_BLOCK`` steps is halved: the first half is solved, its history
-contribution to every row of the second half is added in one batched
-product (:meth:`TemporalWeightMatrix.history_block`: a dense block product
-in row chunks up to ``fracops.DENSE_MERGE`` steps and on nonuniform grids,
-a chunked FFT convolution along time above it), and the second half is
-solved.  Shorter ranges, the leaves, march step by step: each leaf takes
+contribution to every row of the second half is added in place, in one
+batched product (:meth:`TemporalWeightMatrix.history_block`: a dense block
+product in row chunks up to ``fracops.DENSE_MERGE`` steps and on nonuniform
+grids, a chunked FFT convolution along time above it), and the second half
+is solved.  Shorter ranges, the leaves, march step by step: each leaf takes
 its dense weight block once, reads the diagonal weights from it and adds
 the history within the leaf as one row of that block times the leaf's
 solved steps.  Both grid kinds share this one loop, which costs
@@ -28,10 +28,14 @@ step, and the property suite compares them and a naive dense march with
 this loop.  :meth:`TemporalWeightMatrix.history_dot` is kept only for the
 tests and the benchmark's tracer.
 
-Each leaf keeps its steps' mass-weighted history rows in one buffer; after
-the leaf, the step residuals and both sides of the energy identity are
-computed for all of its steps at once, and a failing residual raises
-:class:`SolverError` naming the first bad step.
+Each leaf takes its load rows from :func:`assembly.assemble_load` restricted
+to its steps (bitwise the rows of the full array), or as a view of a given
+load array, and keeps its steps' mass-weighted history rows in one buffer;
+after the leaf, the step residuals and both sides of the energy identity
+are computed for all of its steps at once, and a failing residual raises
+:class:`SolverError` naming the first bad step.  So a solve holds its field
+and one leaf's buffers; neither a whole load array nor a whole merge
+product is formed.
 """
 
 import math
@@ -96,6 +100,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
           loads: np.ndarray | None = None):
     """March the space-time system; returns the field and a report.
 
+    Without ``loads``, each leaf assembles its own load rows; a given
+    ``loads`` array must have shape (J, N) and is read one leaf at a time.
     More than ``BUDGET`` cells times steps raise :class:`BudgetError` before
     anything is allocated.  Each step's linear residual is checked against
     ``RESIDUAL_TOL`` (relative to the step right-hand side) once its leaf is
@@ -108,10 +114,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                           f"exceeds the budget of {BUDGET} space-time unknowns")
     start = time.perf_counter()
     weights = temporal_weights(grid, spec.alpha)
-    if loads is None:
-        loads = assembly.assemble_load(spec, grid, mesh)
     J, N = grid.num_steps, mesh.n_interior
-    if loads.shape != (J, N):
+    if loads is not None and loads.shape != (J, N):
         raise DomainError(f"load array shape {loads.shape} != ({J}, {N})")
 
     mass = fem1d.assemble_mass(mesh)
@@ -130,9 +134,14 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
         # rows not solved yet accumulate the history of the earlier blocks
         for lo, mid, hi in _causal_blocks(0, J):
             if mid < hi:
-                values[mid:hi] += weights.history_block(values, lo, mid, hi)
+                weights.history_block(values, lo, mid, hi)
                 continue
             steps = slice(lo, hi)
+            # the leaf's load rows: a view of the given array, or assembled
+            # for these steps alone (the first leaf's call raises any data
+            # error, such as an aliasing sine mode, before a step is solved)
+            leaf_loads = (assembly.assemble_load(spec, grid, mesh, steps)
+                          if loads is None else loads[steps])
             near = weights.block(steps, steps)
             diag_weights = near.diagonal()
             bad = np.flatnonzero(~(diag_weights > 0.0))
@@ -152,11 +161,11 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                     factor = fem1d.TridiagonalMatrix(step_matrices.diag[i],
                                                      step_matrices.off[i]).factor()
                 hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
-                values[k] = factor.solve(loads[k] - hist[i])
+                values[k] = factor.solve(leaf_loads[i] - hist[i])
 
             # residual and energy checks for the whole leaf
             u = values[steps]
-            rhs = loads[steps] - hist
+            rhs = leaf_loads - hist
             action = step_matrices.matvec(u)
             # normwise backward-error scale ||A|| ||u|| + ||rhs||, so the check
             # stays meaningful when the stiffness part dominates on fine meshes
@@ -171,9 +180,9 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                 raise SolverError(
                     f"step {k} residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:.1e}")
             lhs_energy += float(np.vdot(u, hist + action))
-            rhs_energy += float(np.vdot(u, loads[steps]))
+            rhs_energy += float(np.vdot(u, leaf_loads))
             # free the leaf's arrays before the next merge allocates its own
-            del near, hist, rhs, action, step_matrices
+            del near, hist, rhs, action, step_matrices, leaf_loads
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
     if not math.isfinite(gap):

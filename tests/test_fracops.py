@@ -111,6 +111,27 @@ class TestDerivativePower:
             derivative_power_function(PowerFunction(1.0, 2.0), 0.5)(0.0)
 
 
+def _assert_history_block_adds(weights, dense, values, lo, mid, hi):
+    """``history_block`` adds the dense product to rows ``[mid, hi)`` only.
+
+    The target rows start as the product times random factors in [0.5, 1.5]:
+    nonzero, so a merge that overwrites them instead of adding to them fails,
+    and of the product's size, so the rounding of the sum stays far inside
+    the tolerance on the product.  Every other row must come back bitwise
+    unchanged.  ``values`` is left as it was.
+    """
+    expected = dense[mid:hi, lo:mid] @ values[lo:mid]
+    saved = values.copy()
+    values[mid:hi] = expected * np.random.default_rng(mid).uniform(0.5, 1.5, expected.shape)
+    before = values.copy()
+    weights.history_block(values, lo, mid, hi)
+    added = values[mid:hi] - before[mid:hi]
+    assert np.max(np.abs(added - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(values[:mid], before[:mid])
+    assert np.array_equal(values[hi:], before[hi:])
+    values[:] = saved
+
+
 class TestTemporalWeights:
     def test_uniform_diag_and_first_offdiagonal(self):
         grid = TemporalGrid.uniform(6, 6.0)  # tau = 1
@@ -157,11 +178,7 @@ class TestTemporalWeights:
             weights = temporal_weights(grid, alpha)
             dense = weights.dense()
             for lo, mid, hi in ((0, 50, 100), (0, 1, 2), (37, 68, 100), (10, 41, 73)):
-                expected = dense[mid:hi, lo:mid] @ values[lo:mid]
-                block = weights.history_block(values, lo, mid, hi)
-                assert block.shape == expected.shape
-                assert np.max(np.abs(block - expected)) <= \
-                    1e-13 * np.max(np.abs(expected))
+                _assert_history_block_adds(weights, dense, values, lo, mid, hi)
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_block_matches_dense_slices(self, uniform):
@@ -189,10 +206,7 @@ class TestTemporalWeights:
         dense = weights.dense()
         values = np.random.default_rng(41).uniform(-1.0, 1.0, size=(1100, cols))
         for lo, mid, hi in ((0, 550, 1100), (0, 256, 512), (37, 600, 1100)):
-            expected = dense[mid:hi, lo:mid] @ values[lo:mid]
-            block = weights.history_block(values, lo, mid, hi)
-            assert block.shape == expected.shape
-            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+            _assert_history_block_adds(weights, dense, values, lo, mid, hi)
 
     def test_nonuniform_weights_store_no_matrix(self):
         J = 600
@@ -220,8 +234,13 @@ class TestTemporalWeights:
         assert 300 * 300 > CHUNK  # more than one chunk of block rows
         values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(J, 4))
         expected = weights.dense()[300:600, :300] @ values[:300]
-        block = weights.history_block(values, 0, 300, 600)
-        np.testing.assert_allclose(block, expected, rtol=1e-12)
+        # nonzero target rows of the product's size, entry by entry (see
+        # _assert_history_block_adds); the merge must add to them
+        values[300:] = expected * np.random.default_rng(6).uniform(0.5, 1.5, expected.shape)
+        before = values.copy()
+        weights.history_block(values, 0, 300, 600)
+        np.testing.assert_allclose(values[300:] - before[300:], expected, rtol=1e-12)
+        assert np.array_equal(values[:300], before[:300])
 
     def test_dense_over_budget_rejected_before_allocating(self, monkeypatch):
         def no_block(self, rows, cols):

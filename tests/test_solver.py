@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracstep import assembly, fem1d, fracops, solver
+from fracstep import assembly, fem1d, fracops, harness, solver
 from fracstep.assembly import InitialData, ProblemSpec, SourceTerm
-from fracstep.errors import BudgetError, DomainError, SolverError
+from fracstep.errors import CHUNK, BudgetError, DomainError, SolverError
 from fracstep.fracops import TemporalGrid, temporal_weights
 from fracstep.gammafn import gamma_fn
 
@@ -290,3 +290,66 @@ class TestEnergyIdentity:
         standalone = solver.energy_identity_gap(field, weights, loads)
         assert report.energy_gap <= 1e-10
         assert standalone <= 1e-10
+
+
+# a uniform grid with uneven leaves and one FFT merge, and a graded one
+LEAF_GRIDS = {"uniform-64x1100": (64, TemporalGrid.uniform(1100, 1.0)),
+              "graded-16x300": (16, TemporalGrid((np.arange(301) / 300) ** 2))}
+
+
+class TestLeafLoads:
+    @pytest.mark.parametrize("grid_name", sorted(LEAF_GRIDS))
+    @pytest.mark.parametrize("spec", [experiment1_spec(0.5), harness.manufactured_problem(0.8),
+                                      ProblemSpec(alpha=0.3)],
+                             ids=["exp1", "manufactured", "zero"])
+    def test_leaf_loads_solve_bitwise_as_full_array(self, spec, grid_name):
+        nx, grid = LEAF_GRIDS[grid_name]
+        mesh = fem1d.Mesh1D(nx)
+        field, report = solver.solve(spec, grid, mesh)
+        loads = assembly.assemble_load(spec, grid, mesh)
+        given, given_report = solver.solve(spec, grid, mesh, loads=loads)
+        assert np.array_equal(field.values, given.values)
+        assert np.array_equal(report.residual_norms, given_report.residual_norms)
+        assert report.energy_gap == given_report.energy_gap
+
+    @pytest.mark.parametrize("grid_name", sorted(LEAF_GRIDS))
+    def test_step_range_rows_equal_full_rows(self, grid_name):
+        nx, grid = LEAF_GRIDS[grid_name]
+        mesh = fem1d.Mesh1D(nx)
+        spec = experiment1_spec(0.5)
+        full = assembly.assemble_load(spec, grid, mesh)
+        J = grid.num_steps
+        leaves = [(lo, hi) for lo, mid, hi in solver._causal_blocks(0, J) if mid == hi]
+        middle, last = leaves[len(leaves) // 2], leaves[-1]
+        assert last[1] == J and last[1] - last[0] < solver.HISTORY_BLOCK
+        for lo, hi in (middle, last, (J // 2, J // 2)):
+            rows = assembly.assemble_load(spec, grid, mesh, slice(lo, hi))
+            assert rows.shape == (hi - lo, mesh.n_interior)
+            assert np.array_equal(rows, full[lo:hi])
+        with pytest.raises(DomainError, match="contiguous"):
+            assembly.assemble_load(spec, grid, mesh, slice(0, J, 2))
+
+    def test_aliasing_mode_raises_before_any_step(self, monkeypatch):
+        def no_factor(self):
+            raise AssertionError("a step was factored before the data were checked")
+
+        monkeypatch.setattr(fem1d.TridiagonalMatrix, "factor", no_factor)
+        spec = assembly.spectral_test_problem(8, 0.5)
+        with pytest.raises(DomainError, match="aliasing"):
+            solver.solve(spec, TemporalGrid.uniform(200, 1.0), fem1d.Mesh1D(8))
+
+    def test_solve_holds_its_field_and_one_leaf(self):
+        # initial data and a source, two load terms; 2048 steps reach the
+        # FFT merges.  Neither a whole load array nor a whole merge product
+        # may be formed: the peak stays within the field plus a few buffers.
+        grid = TemporalGrid.uniform(2048, 1.0)
+        mesh = fem1d.Mesh1D(128)
+        field_bytes = 2048 * mesh.n_interior * 8
+        tracemalloc.start()
+        try:
+            field, _ = solver.solve(experiment1_spec(0.8), grid, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.values.nbytes == field_bytes
+        assert peak < field_bytes + 6 * CHUNK * 8
