@@ -61,8 +61,8 @@ class TemporalGrid:
 
     @classmethod
     def uniform(cls, num_steps: int, final_time: float = 1.0) -> "TemporalGrid":
-        if num_steps < 1:
-            raise DomainError("need at least one step")
+        if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
+            raise DomainError(f"need an integer num_steps >= 1, got {num_steps!r}")
         if num_steps > BUDGET:  # before the nodes are allocated; no solve has more
             raise BudgetError(f"{num_steps} steps exceed the budget of {BUDGET}")
         if not final_time > 0.0:

@@ -426,26 +426,27 @@ class BlockMoments:
     def coarsen(self, grid: TemporalGrid) -> "BlockMoments":
         """The same fine field's moments on the nested coarser ``grid``.
 
-        Groups of these intervals merge exactly: the new scatter is the
-        groups' own plus ``sum_i T_i Q(m_i - m)`` about the merged mean.
+        Groups of these intervals merge exactly about the naive means
+        ``c_K``: :func:`_block_forms` gives the scatter about ``c_K`` and adds
+        ``sum_i T_i (m_i - c_K)`` into the lows, which divided by ``T_K`` is
+        the low part ``delta_K``; taking off ``T_K Q(delta_K)`` leaves the
+        scatter about the merged mean ``c_K + delta_K``.
         """
         ratio = self.ratio(grid)
         if ratio == 1:
             return self
-        num_coarse = grid.num_steps
+        num_coarse, n = grid.num_steps, self.mesh.n_interior
         weights = self.weights.reshape(num_coarse, ratio)
-        values = self.means.reshape(num_coarse, ratio, self.mesh.n_interior)
         totals = weights.sum(axis=1)
-        means = np.empty(values[:, 0].shape)
-        lows = np.empty_like(means)
-
-        def naive_means(block):
-            out = means[block]
-            np.matmul(weights[block, None, :], values[block], out=out[:, None, :])
-            out /= totals[block, None]
-            return out
-
-        mass, stiff = _block_forms(self, num_coarse, naive_means, lows)
+        means = np.matmul(weights[:, None, :], self.means.reshape(num_coarse, ratio, n))[:, 0]
+        means /= totals[:, None]
+        lows = np.zeros((num_coarse, n))
+        mass, stiff = _block_forms(self, num_coarse, lambda block: means[block], lows)
+        lows /= totals[:, None]
+        s0, g = fem1d.band_sums(np.pad(lows, ((0, 0), (1, 1))),
+                                np.empty((num_coarse, n + 1)))
+        mass -= totals * (s0 - g / 6.0)
+        stiff -= totals * g
         return BlockMoments(grid, self.mesh, totals, means, lows, mass, stiff)
 
 
@@ -456,10 +457,10 @@ def _block_forms(moments: BlockMoments, num_coarse: int, centers,
     ``i`` runs over the moments' intervals in K (weights ``T_i``, means
     ``m_i`` with their lows, scatter ``W_i``); ``centers(block)`` returns
     the centers ``c_K`` of the coarse intervals in the slice ``block``.
-    Given ``lows``, its rows receive the weighted mean ``delta_K`` of the
-    ``m_i - c_K``, and ``T_K Q(delta_K)`` is taken off, leaving the scatter
-    about ``c_K + delta_K``.  Differences are formed in buffers of about
-    ``errors.CHUNK`` values, an interval K too long for one in equal parts.
+    Given ``lows``, ``sum_i T_i (m_i - c_K)`` is added into its rows; the
+    forms stay about ``c_K`` either way.  Differences are formed in buffers
+    of about ``errors.CHUNK`` values, an interval K too long for one in
+    equal parts.
     """
     ratio = moments.grid.num_steps // num_coarse
     n = moments.mesh.n_interior
@@ -468,8 +469,6 @@ def _block_forms(moments: BlockMoments, num_coarse: int, centers,
     rows = max(1, CHUNK // (sub * (n + 2)))
     padded = np.zeros((rows, sub, n + 2))
     diffs = np.empty((rows, sub, n + 1))
-    if lows is not None:
-        shift = np.zeros((rows, n + 2))
     weights = moments.weights.reshape(num_coarse, ratio)
     values = moments.means.reshape(num_coarse, ratio, n)
     if moments.lows is not None:
@@ -479,9 +478,6 @@ def _block_forms(moments: BlockMoments, num_coarse: int, centers,
     for j in range(0, num_coarse, rows):
         block = slice(j, j + rows)
         center = centers(block)
-        if lows is not None:
-            delta = shift[:len(center), 1:-1]
-            delta[:] = 0.0
         for i in range(0, ratio, sub):
             d = padded[:len(center), :min(sub, ratio - i)]
             np.subtract(values[block, i:i + sub], center[:, None, :], out=d[..., 1:-1])
@@ -492,14 +488,7 @@ def _block_forms(moments: BlockMoments, num_coarse: int, centers,
             mass[block] += np.sum(w * (s0 - g / 6.0), axis=1)
             stiff[block] += np.sum(w * g, axis=1)
             if lows is not None:
-                delta += np.matmul(w[:, None, :], d[..., 1:-1])[:, 0]
-        if lows is not None:
-            total = weights[block].sum(axis=1)
-            delta /= total[:, None]
-            s0, g = fem1d.band_sums(shift[:len(center)], diffs[:len(center), 0])
-            mass[block] -= total * (s0 - g / 6.0)
-            stiff[block] -= total * g
-            lows[block] = delta
+                lows[block] += np.matmul(w[:, None, :], d[..., 1:-1])[:, 0]
     return mass, stiff
 
 
@@ -664,8 +653,10 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     disk (keyed by experiment, alpha, data parameters, the reference's
     resolutions and the finest level's step count) when a cache directory
     is configured, either explicitly or through the ``FRACSTEP_CACHE_DIR``
-    environment variable.  A level whose errors are not finite raises
-    :class:`SolverError`.
+    environment variable.  Levels are solved finest first, so a sweep whose
+    finest level is over budget raises :class:`BudgetError` before any
+    level is solved; the rows keep the plan's order.  A level whose errors
+    are not finite raises :class:`SolverError`.
     """
     start = time.perf_counter()
     spec = experiment_problem(plan.experiment, plan.alpha, **plan.params)
@@ -676,37 +667,30 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR)
     max_gap = 0.0
-
-    # the reference's moments on each level's time grid, finest first, each
-    # coarsened from the one before (to the finest grid, it is itself)
-    moments = {}
+    reference = None
     if plan.reference is not None:
         reference, max_gap = _reference_moments(plan, spec, cache_dir)
-        for num_steps in sorted({nt for _, nt in plan.levels}, reverse=True):
-            reference = reference.coarsen(TemporalGrid.uniform(num_steps))
-            moments[num_steps] = reference
-    last_use = {nt: i for i, (_, nt) in enumerate(plan.levels)}
 
-    rows = []
-    e1s, e2s = [], []
-    for i, (n_cells, num_steps) in enumerate(plan.levels):
+    # finest first, so that each level's moments coarsen the previous level's
+    rows = [None] * len(plan.levels)
+    for i in sorted(range(len(plan.levels)), key=lambda i: plan.levels[i][1], reverse=True):
+        n_cells, num_steps = plan.levels[i]
         level_field, report = solver.solve(
             spec, TemporalGrid.uniform(num_steps), fem1d.Mesh1D(n_cells))
         max_gap = float(np.maximum(max_gap, report.energy_gap))  # keeps a NaN
-        if plan.reference is not None:
-            e1, e2 = space_time_error(level_field, moments[num_steps])
-            if last_use[num_steps] == i:
-                del moments[num_steps]
+        if reference is not None:
+            reference = reference.coarsen(level_field.grid)
+            e1, e2 = space_time_error(level_field, reference)
         else:
             e1, e2 = spec.exact.error_norms(level_field)
         if not (math.isfinite(e1) and math.isfinite(e2)):
             raise SolverError(f"level ({n_cells}, {num_steps}): errors E1={e1}, "
                               f"E2={e2} are not finite")
-        e1s.append(e1)
-        e2s.append(e2)
-        rows.append({"h": 1.0 / n_cells, "tau": 1.0 / num_steps,
-                     "E1": e1, "order1": None, "E2": e2, "order2": None})
+        rows[i] = {"h": 1.0 / n_cells, "tau": 1.0 / num_steps,
+                   "E1": e1, "order1": None, "E2": e2, "order2": None}
 
+    e1s = [row["E1"] for row in rows]
+    e2s = [row["E2"] for row in rows]
     if len(rows) >= 2 and all(e > 0.0 for e in e1s) and all(e > 0.0 for e in e2s):
         for i, (o1, o2) in enumerate(zip(order_fit(e1s), order_fit(e2s)), start=1):
             rows[i]["order1"] = o1

@@ -6,6 +6,7 @@ at desk scale and check observed orders, not the published absolute error
 digits.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -66,6 +67,19 @@ def experiment3_tables():
     spatial = harness.run_sweep(harness.default_plan("experiment3", "space"))
     temporal = harness.run_sweep(harness.default_plan("experiment3", "time"))
     return spatial, temporal, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def desk_tables(manufactured_tables, experiment1_table, experiment3_tables):
+    """All eight desk tables by (experiment, axis); five reuse the fixtures above."""
+    tables = {("manufactured", "space"): manufactured_tables[0],
+              ("manufactured", "time"): manufactured_tables[1],
+              ("experiment1", "space"): experiment1_table[0],
+              ("experiment3", "space"): experiment3_tables[0],
+              ("experiment3", "time"): experiment3_tables[1]}
+    for key in (("experiment1", "time"), ("experiment2", "space"), ("experiment2", "time")):
+        tables[key] = harness.run_sweep(harness.default_plan(*key))
+    return tables
 
 
 def test_criterion_1_operator_identity_suite():
@@ -166,6 +180,48 @@ def test_manufactured_tables_match_frozen_errors(manufactured_tables):
         for row, (e1, e2) in zip(table.rows, frozen):
             assert row["E1"] == pytest.approx(e1, rel=1e-12, abs=0.0)
             assert row["E2"] == pytest.approx(e2, rel=1e-12, abs=0.0)
+
+
+# The eight desk tables as pinned text: a first line naming the numerics
+# version (``harness._CACHE_FORMAT``) they were made at, then the CSV as
+# ``to_csv_text`` writes it.  Numerics that move them bump the version and
+# regenerate the files.
+DESK_TABLE_DIR = os.path.join(os.path.dirname(__file__), "desk_tables")
+DESK_PLANS = [(experiment, axis)
+              for experiment in ("experiment1", "experiment2", "experiment3", "manufactured")
+              for axis in ("space", "time")]
+DESK_COLUMNS = ("h", "tau", "E1", "order1", "E2", "order2")
+
+
+def _pinned_desk_table(experiment, axis):
+    with open(os.path.join(DESK_TABLE_DIR, f"{experiment}_{axis}.csv")) as fh:
+        return fh.readline(), list(csv.DictReader(fh))
+
+
+def test_pinned_desk_tables_name_the_current_numerics_version():
+    for experiment, axis in DESK_PLANS:
+        header, _ = _pinned_desk_table(experiment, axis)
+        assert header == f"format={harness._CACHE_FORMAT}\n", (experiment, axis)
+
+
+def test_desk_tables_match_pinned(desk_tables):
+    assert sorted(desk_tables) == sorted(DESK_PLANS)
+    largest = {column: (0.0, None) for column in DESK_COLUMNS}
+    for key, table in sorted(desk_tables.items()):
+        _, pinned = _pinned_desk_table(*key)
+        assert len(table.rows) == len(pinned), key
+        for level, (row, pin) in enumerate(zip(table.rows, pinned)):
+            for column in DESK_COLUMNS:
+                if pin[column] == "":
+                    assert row[column] is None, (key, level, column)
+                    continue
+                want = float(pin[column])
+                move = abs(row[column] - want) / abs(want)
+                if not move <= largest[column][0]:
+                    largest[column] = (move, (*key, level))
+    assert all(move <= 1e-12 for move, _ in largest.values()), \
+        "largest relative move per column: " + "; ".join(
+            f"{column} {move:.3g} at {where}" for column, (move, where) in largest.items())
 
 
 def test_criterion_5_experiment1_desk_scale(experiment1_table):

@@ -54,6 +54,12 @@ class TestTypes:
         with pytest.raises(DomainError):
             TemporalGrid(np.array([0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("num_steps", [2.5, 4.0, "4", 0])
+    def test_uniform_rejects_a_non_integer_or_empty_step_count(self, num_steps):
+        # 2.5 used to build a 3-step grid ending at T = 1.2
+        with pytest.raises(DomainError, match="num_steps"):
+            TemporalGrid.uniform(num_steps)
+
     def test_uniform_over_budget_rejected_before_allocating(self):
         # 2^40 nodes would take 8 TiB; the check must come before np.arange
         with pytest.raises(BudgetError, match="budget"):

@@ -398,6 +398,24 @@ class TestRunSweep:
         ref_steps = plan.reference[1]
         assert sum(counted) <= 2 * ref_steps + sum(nt for _, nt in plan.levels)
 
+    def test_over_budget_finest_level_fails_before_any_solve(self, monkeypatch):
+        # 16 x 32 = 512 unknowns exceed a budget of 256; the three coarser
+        # levels (up to 16 x 16) are within it
+        monkeypatch.setattr(solver, "BUDGET", 256)
+        returned = []
+        real = solver.solve
+
+        def counting(spec, grid, mesh, *args, **kwargs):
+            result = real(spec, grid, mesh, *args, **kwargs)
+            returned.append(grid.num_steps)
+            return result
+
+        monkeypatch.setattr(solver, "solve", counting)
+        plan = default_plan("manufactured", "time", nx=16, nt=4, count=4)
+        with pytest.raises(BudgetError):
+            run_sweep(plan)
+        assert returned == []
+
     def test_experiment2_registry_smoke(self):
         plan = SweepPlan(experiment="experiment2", alpha=0.7, axis="space",
                          levels=((8, 32), (16, 32)), reference=(64, 32),
@@ -532,7 +550,7 @@ class TestCache:
         cold = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
         steps = _counted_solve_steps(monkeypatch)
         warm = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
-        assert steps == [4, 8, 16]  # the reference was read, not solved
+        assert steps == [16, 8, 4]  # the reference was read, not solved
         assert cold == warm == uncached
 
     def test_other_finest_level_misses_and_recomputes(self, tmp_path, monkeypatch):
