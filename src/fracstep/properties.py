@@ -5,9 +5,11 @@ fixed seed reproduces the identical report.  Closed-form identities are held
 to 1e-12 relative; comparisons against the quadrature oracle to 1e-9 (the
 oracle itself runs at 1e-10).  The oracle route never touches the package's
 gamma evaluation, which is what lets the suite detect a corrupted constant.
-Each property that calls the oracle builds its own table of Gauss-Jacobi
-rules and drops it on return, so a rule is computed once per property call
-and never carried over to another call or another suite run.
+The two properties that call the oracle, the coercivity pairing and the
+closed forms against the oracle, each build their own table of Gauss-Jacobi
+rules and drop it on return, so a rule is computed once per property call
+and never carried over to another call or another suite run.  The two-sided
+bound computes no rule: its norm has a closed form in scipy's ``hyp2f1``.
 """
 
 import functools
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gamma as scipy_gamma, roots_jacobi
+from scipy.special import gamma as scipy_gamma, hyp2f1, roots_jacobi
 
 from . import assembly, fem1d, fracops, harness, solver
 from .fracops import PowerFunction, TemporalGrid
@@ -158,51 +160,40 @@ def prop_coercivity(rng) -> PropertyResult:
     return PropertyResult("coercivity-pairing", ok, detail)
 
 
-def _pwc_left_integral(grid, values, gamma, t) -> np.ndarray:
-    """Left fractional integral of a piecewise constant at ``t``, oracle side."""
-    t = np.asarray(t, dtype=float)[..., None]
-    terms = (np.maximum(t - grid.nodes[:-1], 0.0) ** gamma
-             - np.maximum(t - grid.nodes[1:], 0.0) ** gamma)
-    return terms @ np.asarray(values, dtype=float) / scipy_gamma(1.0 + gamma)
+def _pwc_integral_norm_sq(grid, values, gamma) -> float:
+    """``||I_left^gamma v||^2`` on ``(0, T)`` for a piecewise constant ``v``,
+    by the identity in :func:`prop_two_sided_bound`, vectorised over pairs.
 
-
-def _pwc_integral_norm_sq(grid, values, gamma, rules) -> float:
-    """||I_left^gamma v||^2 by singularity splitting + the oracle.
-
-    On each interval the integral is an analytic part plus one
-    ``(t - t_l)^gamma`` term, so the square splits into three pieces with
-    known endpoint exponents.  Nothing here calls :mod:`fracops`, so the
-    split stays exact when the closed forms under test are wrong.
+    Only scipy's ``gamma`` and ``hyp2f1`` are used, nothing of
+    :mod:`fracops`, so the pairing under test and this norm share no code.
     """
-    total = 0.0
-    nodes = grid.nodes
-    previous = 0.0
-    # pieces with a vanishing analytic part integrate to roundoff noise, so
-    # the adaptive rule gets an absolute floor tied to the data scale
-    floor = 1e-13 * float(np.max(np.abs(values))) ** 2 * grid.final_time
-    for l in range(grid.num_steps):
-        a, b = nodes[l], nodes[l + 1]
-        c_l = (values[l] - previous) / scipy_gamma(1.0 + gamma)
-        previous = values[l]
-
-        def analytic_part(t, a=a, c_l=c_l):
-            full = _pwc_left_integral(grid, values, gamma, t)
-            return full - c_l * (t - a) ** gamma
-
-        total += singular_integral(
-            a, b, smooth=lambda t: np.asarray(analytic_part(t)) ** 2, atol=floor,
-            rules=rules)
-        total += 2.0 * c_l * singular_integral(a, b, p=gamma, smooth=analytic_part,
-                                               atol=floor, rules=rules)
-        total += c_l ** 2 * (b - a) ** (2.0 * gamma + 1.0) / (2.0 * gamma + 1.0)
-    return total
+    left = grid.nodes[:-1]
+    jumps = np.diff(values, prepend=0.0) / scipy_gamma(1.0 + gamma)
+    length = grid.final_time - left
+    i, j = np.triu_indices(left.size, 1)
+    gap = left[j] - left[i]
+    cross = (gap ** gamma * length[j] ** (gamma + 1.0) / (gamma + 1.0)
+             * hyp2f1(-gamma, gamma + 1.0, gamma + 2.0, -length[j] / gap))
+    return float(jumps ** 2 @ (length ** (2.0 * gamma + 1.0) / (2.0 * gamma + 1.0))
+                 + 2.0 * (jumps[i] * jumps[j]) @ cross)
 
 
 def prop_two_sided_bound(rng) -> PropertyResult:
     """The left/right integral pairing is positive and comparable to the
-    squared norm of the left integral, with measured two-sided constants."""
+    squared norm of the left integral, with measured two-sided constants.
+
+    The norm is exact: with the jumps ``c_j = (v_j - v_{j-1}) / Gamma(1 +
+    gamma)`` at the left nodes ``t_j`` (``v_{-1} = 0``), ``I^gamma v(t) =
+    sum_j c_j (t - t_j)_+^gamma``, so with ``L_j = T - t_j`` and ``d = t_j -
+    t_i``::
+
+        ||I^gamma v||^2 = sum_j c_j^2 L_j^(2 gamma + 1) / (2 gamma + 1)
+            + 2 sum_{i<j} c_i c_j d^gamma L_j^(gamma + 1) / (gamma + 1)
+                          * 2F1(-gamma, gamma + 1; gamma + 2; -L_j / d)
+
+    The cross term is ``int_0^L_j s^gamma (s + d)^gamma ds``.
+    """
     ratios = []
-    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for _ in range(100):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=5)
@@ -210,7 +201,7 @@ def prop_two_sided_bound(rng) -> PropertyResult:
         if np.all(np.abs(values) < 0.1):
             values[-1] = 1.0
         pairing = fracops.fractional_integral_pairing_pwc(grid, values, gamma)
-        norm_sq = _pwc_integral_norm_sq(grid, values, gamma, rules)
+        norm_sq = _pwc_integral_norm_sq(grid, values, gamma)
         ratios.append(pairing / norm_sq)
     lo, hi = min(ratios), max(ratios)
     ok = lo > 0.0 and math.isfinite(hi)

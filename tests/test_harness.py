@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,6 +242,41 @@ class TestSpaceTimeError:
         assert exact[1] / np.sqrt(np.mean(fine_values ** 2)) < 2e-6
         for reference in (fine, _moments(fine).coarsen(coarse_grid), chained):
             assert space_time_error(coarse, reference) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_scatter_at_rounding_level_against_fractions(self, graded):
+        # rows a few ulps apart over each interval: the naive mean's rounding
+        # error is as large as the scatter itself, so the scatter is exact
+        # only with coarsen's recentring term T_K Q(delta_K) taken off
+        mesh, ratio, num_coarse = fem1d.Mesh1D(8), 8, 4
+        fine_grid = (_graded_grid if graded else TemporalGrid.uniform)(ratio * num_coarse)
+        rng = np.random.default_rng(41 + graded)
+        values = np.repeat(rng.uniform(0.5, 1.0, size=(num_coarse, 7)), ratio, axis=0)
+        values += np.spacing(values) * rng.integers(-3, 4, size=values.shape)
+        tau = [Fraction(t) for t in fine_grid.tau]
+        mass, stiff = [], []
+        for K in range(num_coarse):  # two passes: the exact mean, then the scatter
+            rows = range(K * ratio, (K + 1) * ratio)
+            total = sum(tau[k] for k in rows)
+            mean = [sum(tau[k] * Fraction(values[k, i]) for k in rows) / total
+                    for i in range(7)]
+            mass.append(Fraction(0))
+            stiff.append(Fraction(0))
+            for k in rows:
+                d = [0, *(Fraction(values[k, i]) - mean[i] for i in range(7)), 0]
+                s0 = sum(x * x for x in d)
+                g = sum((d[i + 1] - d[i]) ** 2 for i in range(8))
+                mass[K] += tau[k] * (s0 - g / 6)
+                stiff[K] += tau[k] * g
+        coarse_grid = TemporalGrid(fine_grid.nodes[::ratio])
+        one_step = BlockMoments.of_values(fine_grid, mesh, values).coarsen(coarse_grid)
+        two_steps = BlockMoments.of_values(fine_grid, mesh, values).coarsen(
+            TemporalGrid(fine_grid.nodes[::2])).coarsen(coarse_grid)
+        for moments in (one_step, two_steps):
+            np.testing.assert_allclose(moments.mass, np.array(mass, dtype=float),
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(moments.stiff, np.array(stiff, dtype=float),
+                                       rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("num_fine", [2048, 16384])
     def test_traced_peak_does_not_grow_with_the_reference(self, num_fine):

@@ -6,7 +6,10 @@ import pytest
 from scipy.special import roots_jacobi
 
 from fracstep import fracops, properties
+from fracstep.fracops import TemporalGrid
 from fracstep.properties import run_property_suite
+
+from quadrature_oracle import integral_norm_sq
 
 
 def test_full_suite_passes_default_seed():
@@ -91,6 +94,41 @@ def test_no_rule_above_order_32(rule_spy):
     run_property_suite()
     orders = {name: max(n for n, _, _ in keys) for name, keys in rule_spy.items()}
     assert max(orders.values()) <= 32, orders
+
+
+def test_only_the_oracle_properties_compute_rules(rule_spy):
+    # a cost guard that counts instead of timing: the two-sided bound's norm
+    # is a closed form, so it computes no rule and the suite 180 in all
+    run_property_suite()
+    counts = {name: len(keys) for name, keys in rule_spy.items()}
+    assert "prop_two_sided_bound" not in counts, counts
+    assert sum(counts.values()) <= 180, counts
+
+
+def _narrowest_gap_grids():
+    # every placement of the shortest step _random_grid draws (0.2 against
+    # 1.0), on each grid size the two-sided bound draws
+    for num_steps in (3, 4, 5):
+        for short in range(num_steps):
+            steps = np.ones(num_steps)
+            steps[short] = 0.2
+            yield TemporalGrid(np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum())
+
+
+def test_two_sided_norm_closed_form_matches_quadrature():
+    rng = np.random.default_rng(2026)
+    rules = functools.lru_cache(maxsize=None)(roots_jacobi)
+    cases = [(grid, gamma) for grid in _narrowest_gap_grids() for gamma in (0.05, 0.45)]
+    cases += [(properties._random_grid(rng, max_intervals=5), rng.uniform(0.05, 0.45))
+              for _ in range(300 - len(cases))]
+    worst = 0.0
+    for grid, gamma in cases:
+        values = rng.uniform(-2.0, 2.0, size=grid.num_steps)
+        closed = properties._pwc_integral_norm_sq(grid, values, gamma)
+        oracle = integral_norm_sq(grid, values, gamma, rules)
+        worst = max(worst, abs(closed - oracle) / abs(oracle))
+    print(f"largest relative difference {worst:.3e} over {len(cases)} draws")
+    assert worst <= 1e-12
 
 
 def test_toeplitz_reads_one_dense_block_per_alpha(monkeypatch):

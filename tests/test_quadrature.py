@@ -78,6 +78,22 @@ def test_budget_exhaustion_raises(monkeypatch):
         singular_integral(0.0, 1.0, smooth=lambda t: np.sin(5e4 * t))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrand_raises_at_the_first_order(bad):
+    # a non-finite estimate never converges, so the loop must stop at the
+    # first order, not double up to _MAX_ORDER and report "no convergence"
+    built = []
+
+    def rules(n, alpha, beta):
+        built.append(n)
+        return scipy.special.roots_jacobi(n, alpha, beta)
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        singular_integral(0.0, 1.0, p=-0.5,
+                          smooth=lambda t: np.where(t > 0.5, bad, 1.0), rules=rules)
+    assert built == [quadrature._MIN_ORDER]
+
+
 def test_fixed_order_matches_adaptive_on_smooth_data():
     adaptive = singular_integral(0.0, 1.0, p=0.3, smooth=lambda t: np.cos(t))
     fixed = fixed_order_integral(0.0, 1.0, p=0.3, smooth=lambda t: np.cos(t),
