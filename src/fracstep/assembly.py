@@ -1,18 +1,18 @@
 """Problem specifications and right-hand-side assembly.
 
-The load array pairs the data term (fractional derivative of the initial
-value plus the source) against the space-time test functions
-``chi_{I_k} phi_i``.  All of the supported data are separable products of a
-spatial power/sine profile and a temporal power, so each contribution is an
-outer product of a closed-form time-factor vector and a closed-form spatial
-moment vector; :func:`assemble_load` is the one place they are summed.
-Singular profiles like ``x^{-0.8}`` enter only through their hat moments;
-nothing is ever sampled pointwise near ``x = 0``.  Only specs and loads live
-here; the experiment table and the manufactured solution are in
+The load pairs the data term (fractional derivative of the initial value
+plus the source) against the test functions ``chi_{I_k} phi_i``.  All data
+are separable, a spatial power/sine profile times a temporal power, so each
+term is an outer product of closed-form time factors and hat moments;
+:func:`load_terms` builds them once per spec, grid and mesh, and
+:meth:`Load.rows` sums them for any range of steps.  Singular profiles like
+``x^{-0.8}`` enter only through their hat moments, never sampled near
+``x = 0``.  The experiment table and the manufactured solution are in
 :mod:`fracstep.harness`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,12 @@ from .gammafn import gamma_fn
 
 SPATIAL_POWER = "power"
 SPATIAL_SINE = "sine"
+
+
+def _ensure_mode(mode) -> None:
+    """``DomainError`` unless the sine mode is an integer >= 1 (``2.0`` is)."""
+    if not ((isinstance(mode, numbers.Integral) or float(mode).is_integer()) and mode >= 1):
+        raise DomainError(f"sine mode must be an integer >= 1, got {mode}")
 
 
 def _ensure_finite(datum, *names) -> None:
@@ -57,8 +63,8 @@ class SourceTerm:
         if self.spatial_kind == SPATIAL_POWER and not self.spatial_param > -1.0:
             raise DomainError(
                 f"spatial power exponent must exceed -1, got {self.spatial_param}")
-        if self.spatial_kind == SPATIAL_SINE and int(self.spatial_param) < 1:
-            raise DomainError(f"sine mode must be >= 1, got {self.spatial_param}")
+        if self.spatial_kind == SPATIAL_SINE:
+            _ensure_mode(self.spatial_param)
         if not self.temporal_exponent > -1.0:
             raise DomainError(
                 "temporal exponent must exceed -1 (t^-sigma needs sigma < 1), "
@@ -86,8 +92,7 @@ class InitialData:
                 raise DomainError(
                     f"initial-data exponent must exceed -1, got {self.exponent}")
         elif self.kind == "sine":
-            if self.mode < 1:
-                raise DomainError(f"sine mode must be >= 1, got {self.mode}")
+            _ensure_mode(self.mode)
         else:
             raise DomainError(f"unknown initial data kind {self.kind!r}")
 
@@ -108,48 +113,43 @@ class ProblemSpec:
         _ensure_order(self.alpha, 0, 1, "alpha")
 
 
-def _step_nodes(grid: TemporalGrid, steps: slice) -> np.ndarray:
-    """The nodes bounding the intervals ``steps``, a contiguous range of them."""
-    lo, hi, stride = steps.indices(grid.num_steps)
-    if stride != 1:
-        raise DomainError(f"step range must be contiguous, got stride {stride}")
-    return grid.nodes[lo:max(lo, hi) + 1]
-
-
-def initial_time_factors(grid: TemporalGrid, alpha: float,
-                         steps: slice = slice(None)) -> np.ndarray:
-    """Per-interval integrals of the order-alpha derivative of a unit constant.
-
-    ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)`` for the intervals
-    ``steps`` (all by default); the row sums of the temporal weight matrix
-    telescope to the same values.  Only those intervals' nodes are read.
-    """
+def initial_time_factors(grid: TemporalGrid, alpha: float) -> np.ndarray:
+    """Per-interval integrals of the order-alpha derivative of a unit constant,
+    ``(t_k^(1-alpha) - t_{k-1}^(1-alpha)) / Gamma(2-alpha)``: the telescoped
+    row sums of the temporal weight matrix."""
     alpha = _ensure_order(alpha, 0, 1, "alpha")
-    powers = _step_nodes(grid, steps) ** (1.0 - alpha)
-    return np.diff(powers) / gamma_fn(2.0 - alpha)
+    return np.diff(grid.nodes ** (1.0 - alpha)) / gamma_fn(2.0 - alpha)
 
 
-def power_time_factors(grid: TemporalGrid, exponent: float,
-                       steps: slice = slice(None)) -> np.ndarray:
-    """Per-interval integrals of ``t^exponent`` for ``exponent > -1``, over ``steps``."""
+def power_time_factors(grid: TemporalGrid, exponent: float) -> np.ndarray:
+    """Per-interval integrals of ``t^exponent`` for ``exponent > -1``."""
     if not exponent > -1.0:
         raise DomainError(f"temporal exponent must exceed -1, got {exponent}")
-    powers = _step_nodes(grid, steps) ** (exponent + 1.0)
-    return np.diff(powers) / (exponent + 1.0)
+    return np.diff(grid.nodes ** (exponent + 1.0)) / (exponent + 1.0)
 
 
-def assemble_load(spec: ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
-                  steps: slice = slice(None)) -> np.ndarray:
-    """Rows ``steps`` of the (J, N) load array, all of them by default.
+@dataclass(frozen=True)
+class Load:
+    """A (J, N) load array as its terms ``(scale, J time factors, hat moments)``:
+    the sum of ``scale * outer(factors, moments)`` in term order."""
 
-    The initial-data term, then each source in order; each term is the outer
-    product of its time factors and its hat moments.  The time factors are
-    evaluated on the nodes of ``steps`` only, so a range of steps costs its
-    own length, and its rows are bitwise the same rows of the full array:
-    every entry takes the same operations in the same order.
-    """
-    nodes = _step_nodes(grid, steps)
-    out = np.zeros((nodes.size - 1, mesh.n_interior))
+    shape: tuple[int, int]
+    terms: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+
+    def rows(self, steps: slice) -> np.ndarray:
+        """The load rows ``steps``, bitwise the same rows of the whole array:
+        every entry takes the same operations in the same order."""
+        out = np.zeros((len(range(self.shape[0])[steps]), self.shape[1]))
+        for scale, factors, moments in self.terms:
+            out += scale * np.outer(factors[steps], moments)
+        return out
+
+
+def load_terms(spec: ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D) -> Load:
+    """The initial-data term (its scale in its moments), then each source.
+
+    An aliasing sine mode is rejected here, before any row is formed."""
+    terms = []
     init = spec.initial
     if init is not None:
         if init.kind == "power":
@@ -160,24 +160,23 @@ def assemble_load(spec: ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                                   f"aliasing, got {init.mode}")
             values = fem1d.sine_vector(mesh, init.mode)
             space = init.scale * fem1d.assemble_mass(mesh).matvec(values)
-        out += np.outer(initial_time_factors(grid, spec.alpha, steps), space)
+        terms.append((1.0, initial_time_factors(grid, spec.alpha), space))
     for term in spec.sources:
         if term.spatial_kind == SPATIAL_POWER:
             space = fem1d.power_load_vector(mesh, term.spatial_param)
         else:
             space = fem1d.sine_load_vector(mesh, int(term.spatial_param))
-        factors = power_time_factors(grid, term.temporal_exponent, steps)
-        out += term.scale * np.outer(factors, space)
-    return out
+        terms.append((term.scale, power_time_factors(grid, term.temporal_exponent), space))
+    return Load((grid.num_steps, mesh.n_interior), tuple(terms))
+
+
+def assemble_load(spec: ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D) -> np.ndarray:
+    """The whole (J, N) load array of ``spec``."""
+    return load_terms(spec, grid, mesh).rows(slice(None))
 
 
 def spectral_test_problem(mode: int, alpha: float) -> ProblemSpec:
-    """Nodal sine initial data with zero source; decouples onto one mode.
-
-    The initial value enters through its mass-weighted load.  Modes at or
-    above the mesh's ``n_cells`` alias to coarser ones (or to zero) and are
-    rejected when the load is assembled.
-    """
+    """Nodal sine initial data with zero source; decouples onto one mode."""
     return ProblemSpec(alpha=alpha, initial=InitialData(kind="sine", mode=mode))
 
 

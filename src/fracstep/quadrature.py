@@ -51,6 +51,14 @@ def _check_interval(a, b, p, q):
     return a, b
 
 
+def _finite(estimate: float, n: int, a: float, b: float) -> float:
+    """``estimate``, or ``QuadratureError`` if the order-``n`` rule gave no finite value."""
+    if not math.isfinite(estimate):
+        raise QuadratureError(f"estimate is {estimate} at order {n} on ({a}, {b}): the "
+                              "integrand is not finite at a node")
+    return estimate
+
+
 def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
                       rules=roots_jacobi):
     """Integrate ``(t-a)^p (b-t)^q * smooth(t)`` over ``(a, b)``.
@@ -97,11 +105,7 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
         x, w = rules(n, q, p)
         t = mid + half * x
         vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
-        estimate = scale * float(np.sum(vals))
-        if not math.isfinite(estimate):
-            raise QuadratureError(
-                f"estimate is {estimate} at order {n} on ({a}, {b}): the integrand "
-                "is not finite at a node")
+        estimate = _finite(scale * float(np.sum(vals)), n, a, b)
         if previous is not None:
             tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
             if abs(estimate - previous) <= tol:
@@ -118,8 +122,8 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
 
     Used where the caller differentiates the result numerically and needs a
     noise floor at machine level rather than an adaptive stopping test.
-    ``order`` must be a positive integer; ``rules`` is as in
-    :func:`singular_integral`.
+    ``order`` must be a positive integer; ``rules`` and the non-finite
+    check are as in :func:`singular_integral`.
 
     A Gauss-Jacobi rule integrates its bare weight exactly at every order
     (its weights sum to the weight's integral), so ``order`` matters only
@@ -132,4 +136,4 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
     x, w = rules(order, q, p)
     t = 0.5 * (a + b) + half * x
     vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
-    return half ** (p + q + 1.0) * float(np.sum(vals))
+    return _finite(half ** (p + q + 1.0) * float(np.sum(vals)), order, a, b)

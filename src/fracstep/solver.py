@@ -28,14 +28,13 @@ step, and the property suite compares them and a naive dense march with
 this loop.  :meth:`TemporalWeightMatrix.history_dot` is kept only for the
 tests and the benchmark's tracer.
 
-Each leaf takes its load rows from :func:`assembly.assemble_load` restricted
-to its steps (bitwise the rows of the full array), or as a view of a given
-load array, and keeps its steps' mass-weighted history rows in one buffer;
-after the leaf, the step residuals and both sides of the energy identity
-are computed for all of its steps at once, and a failing residual raises
-:class:`SolverError` naming the first bad step.  So a solve holds its field
-and one leaf's buffers; neither a whole load array nor a whole merge
-product is formed.
+Each leaf reads its load rows through one callable, ``rows(steps)``: the
+spec's :class:`assembly.Load`, built once per solve, or a view of a given
+load array.  It keeps its steps' mass-weighted history rows in one buffer;
+after it, the step residuals and the energy identity are computed for all
+of its steps at once, and a failing residual raises :class:`SolverError`
+naming the first bad step.  So a solve holds its field, its load terms and
+one leaf's buffers, never a whole load array or merge product.
 """
 
 import math
@@ -100,14 +99,13 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
           loads: np.ndarray | None = None):
     """March the space-time system; returns the field and a report.
 
-    Without ``loads``, each leaf assembles its own load rows; a given
-    ``loads`` array must have shape (J, N) and is read one leaf at a time.
-    More than ``BUDGET`` cells times steps raise :class:`BudgetError` before
-    anything is allocated.  Each step's linear residual is checked against
-    ``RESIDUAL_TOL`` (relative to the step right-hand side) once its leaf is
-    marched; the Galerkin energy identity is accumulated per leaf from
-    explicitly computed matrix actions and reported as a relative gap.  A
-    residual or an energy gap that is not finite raises :class:`SolverError`.
+    Each leaf reads its rows of ``loads``, a (J, N) array, or else of the
+    spec's load terms.  Over ``BUDGET`` cells times steps raise
+    :class:`BudgetError` before anything is allocated.  Each step's linear
+    residual, relative to the step right-hand side, must stay within
+    ``RESIDUAL_TOL``; the Galerkin energy identity is accumulated per leaf
+    from explicit matrix actions and reported as a relative gap.  A residual
+    or an energy gap that is not finite raises :class:`SolverError`.
     """
     if mesh.n_cells * grid.num_steps > BUDGET:
         raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
@@ -117,6 +115,9 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     J, N = grid.num_steps, mesh.n_interior
     if loads is not None and loads.shape != (J, N):
         raise DomainError(f"load array shape {loads.shape} != ({J}, {N})")
+    # built here, so a data error (an aliasing mode) raises before any step
+    rows = (assembly.load_terms(spec, grid, mesh).rows if loads is None
+            else loads.__getitem__)
 
     mass = fem1d.assemble_mass(mesh)
     stiffness = fem1d.assemble_stiffness(mesh)
@@ -137,11 +138,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                 weights.history_block(values, lo, mid, hi)
                 continue
             steps = slice(lo, hi)
-            # the leaf's load rows: a view of the given array, or assembled
-            # for these steps alone (the first leaf's call raises any data
-            # error, such as an aliasing sine mode, before a step is solved)
-            leaf_loads = (assembly.assemble_load(spec, grid, mesh, steps)
-                          if loads is None else loads[steps])
+            leaf_loads = rows(steps)
             near = weights.block(steps, steps)
             diag_weights = near.diagonal()
             bad = np.flatnonzero(~(diag_weights > 0.0))

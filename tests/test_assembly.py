@@ -247,6 +247,31 @@ class TestValidation:
         with pytest.raises(DomainError):
             ProblemSpec(alpha=0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SourceTerm("sine", 2.7, 0.0),
+        lambda: SourceTerm("sine", 0.5, 0.0),
+        lambda: InitialData(kind="sine", mode=2.5),
+        lambda: InitialData(kind="sine", mode=0.0),
+    ], ids=["source-2.7", "source-0.5", "initial-2.5", "initial-0.0"])
+    def test_sine_mode_must_be_a_positive_integer(self, build):
+        with pytest.raises(DomainError, match="integer"):
+            build()
+
+    def test_integral_float_sine_mode_is_that_mode(self):
+        grid = TemporalGrid.uniform(4, 1.0)
+        mesh = fem1d.Mesh1D(8)
+        pairs = [(ProblemSpec(0.5, sources=(SourceTerm("sine", 2.0, 0.0),)),
+                  ProblemSpec(0.5, sources=(SourceTerm("sine", 2, 0.0),))),
+                 (ProblemSpec(0.5, InitialData(kind="sine", mode=3.0)),
+                  ProblemSpec(0.5, InitialData(kind="sine", mode=3)))]
+        for as_float, as_int in pairs:
+            assert np.array_equal(assemble_load(as_float, grid, mesh),
+                                  assemble_load(as_int, grid, mesh))
+        # an integer mode too large for a float is valid, and aliases
+        huge = ProblemSpec(0.5, InitialData(kind="sine", mode=10 ** 400))
+        with pytest.raises(DomainError, match="aliasing"):
+            assemble_load(huge, grid, mesh)
+
     def test_spatial_exponent(self):
         with pytest.raises(DomainError):
             SourceTerm("power", -1.01, 0.0)

@@ -94,6 +94,13 @@ def test_non_finite_integrand_raises_at_the_first_order(bad):
     assert built == [quadrature._MIN_ORDER]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_order_non_finite_integrand_raises(bad):
+    with pytest.raises(QuadratureError, match="not finite"):
+        fixed_order_integral(0.0, 1.0, smooth=lambda t: np.where(t > 0.5, bad, 1.0),
+                             order=16)
+
+
 def test_fixed_order_matches_adaptive_on_smooth_data():
     adaptive = singular_integral(0.0, 1.0, p=0.3, smooth=lambda t: np.cos(t))
     fixed = fixed_order_integral(0.0, 1.0, p=0.3, smooth=lambda t: np.cos(t),

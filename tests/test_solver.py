@@ -318,16 +318,31 @@ class TestLeafLoads:
         mesh = fem1d.Mesh1D(nx)
         spec = experiment1_spec(0.5)
         full = assembly.assemble_load(spec, grid, mesh)
+        load = assembly.load_terms(spec, grid, mesh)
         J = grid.num_steps
         leaves = [(lo, hi) for lo, mid, hi in solver._causal_blocks(0, J) if mid == hi]
         middle, last = leaves[len(leaves) // 2], leaves[-1]
         assert last[1] == J and last[1] - last[0] < solver.HISTORY_BLOCK
         for lo, hi in (middle, last, (J // 2, J // 2)):
-            rows = assembly.assemble_load(spec, grid, mesh, slice(lo, hi))
+            rows = load.rows(slice(lo, hi))
             assert rows.shape == (hi - lo, mesh.n_interior)
             assert np.array_equal(rows, full[lo:hi])
-        with pytest.raises(DomainError, match="contiguous"):
-            assembly.assemble_load(spec, grid, mesh, slice(0, J, 2))
+
+    @pytest.mark.parametrize("spec, built", [
+        (experiment1_spec(0.5), ["power_load_vector"] * 2),
+        (harness.manufactured_problem(0.8), ["sine_load_vector"] * 2),
+    ], ids=["exp1", "manufactured"])
+    def test_solve_builds_each_spatial_vector_once(self, spec, built, monkeypatch):
+        # one call per load term, however many leaves read its rows
+        calls = []
+        for name in ("power_load_vector", "sine_load_vector"):
+            def spy(*args, _name=name, _original=getattr(fem1d, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(fem1d, name, spy)
+        nx, grid = LEAF_GRIDS["uniform-64x1100"]
+        solver.solve(spec, grid, fem1d.Mesh1D(nx))
+        assert calls == built
 
     def test_aliasing_mode_raises_before_any_step(self, monkeypatch):
         def no_factor(self):
