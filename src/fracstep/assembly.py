@@ -36,7 +36,11 @@ def _ensure_finite(datum, *names) -> None:
     """``DomainError`` naming the first of ``names`` that is not finite."""
     for name in names:
         value = getattr(datum, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise DomainError(
                 f"{type(datum).__name__} {name} must be finite, got {value}")
 

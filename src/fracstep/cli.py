@@ -1,9 +1,12 @@
 """Command-line front end: ``fracstep solve|sweep|verify``.
 
 Flags use the experiment parameter names (alpha, r, c, sigma, nx, nt) so the
-mapping from a table row to a command stays legible.  An optional config
-file supplies flat ``key=value`` defaults, where ``key`` is a flag name
-(``_`` may stand for ``-``); explicit flags override it.
+mapping from a table row to a command stays legible; a data flag the chosen
+experiment does not take is refused.  An optional config file holds flat
+``key=value`` lines, where ``key`` is a flag name (``_`` may stand for
+``-``).  Each line becomes a ``--key=value`` token that the same parser reads
+ahead of the command line, so the last value wins and explicit flags
+override the file.
 
 Exit codes: 0 success, 2 config error, 3 domain/precondition error,
 4 property-suite failure.
@@ -31,8 +34,7 @@ class ConfigError(Exception):
     pass
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracstep",
         description="Space-time Galerkin solver for time-fractional diffusion")
@@ -51,14 +53,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--nt", type=int, help="number of time steps")
         p.add_argument("--output", help="output file path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt",
-                       help="output format (default csv)")
+                       default="csv", help="output format (default csv)")
 
     psolve = commands.add_parser("solve", help="single solve with diagnostics")
     add_common(psolve)
 
     psweep = commands.add_parser("sweep", help="refinement sweep and table")
     add_common(psweep)
-    psweep.add_argument("--axis", choices=("space", "time"),
+    psweep.add_argument("--axis", choices=("space", "time"), default="space",
                         help="refined axis (default space)")
     psweep.add_argument("--levels", type=int, help="number of dyadic levels")
     psweep.add_argument("--ref-nx", type=int, dest="ref_nx",
@@ -71,20 +73,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     pverify = commands.add_parser("verify", help="run the property suite")
     pverify.add_argument("--config", help="flat key=value file with flag defaults")
-    pverify.add_argument("--seed", type=int, help="property-suite seed")
-    return parser, commands.choices
+    pverify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                         help="property-suite seed")
+    return parser
 
 
-def _apply_config_file(args: argparse.Namespace,
-                       command: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the file; ``key`` is cast and checked as ``--key``."""
-    if getattr(args, "config", None) is None:
-        return
+def _config_tokens(path: str) -> list[str]:
+    """The file's ``key=value`` lines as ``--key=value`` tokens, in order."""
     try:
-        with open(args.config, "r") as fh:
+        with open(path, "r") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -92,18 +93,11 @@ def _apply_config_file(args: argparse.Namespace,
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        action = command._option_string_actions.get("--" + key.replace("_", "-"))
-        if action is None or action.dest in ("config", "help"):
+        if len(key) > 1 and ("config".startswith(key) or "help".startswith(key)):
+            # argparse would read --config or --help here, which is not followed
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, action.dest) is None:  # flags override the file
-            try:
-                value = (action.type or str)(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"bad value for {key!r}: {value!r} (choose from "
-                                  f"{', '.join(action.choices)})")
-            setattr(args, action.dest, value)
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _require(args, name):
@@ -113,11 +107,18 @@ def _require(args, name):
     return value
 
 
-def _experiment(args) -> tuple[str, harness.Experiment]:
+def _experiment(args) -> tuple[str, harness.Experiment, dict]:
+    """Tag, entry and given data flags; another experiment's data flag is refused."""
     name = _require(args, "experiment")
     for tag, entry in harness.EXPERIMENTS.items():
         if name in entry.aliases:
-            return tag, entry
+            data_flags = {key for other in harness.EXPERIMENTS.values()
+                          for key in other.params}
+            for key in sorted(data_flags - entry.params.keys()):
+                if getattr(args, key) is not None:
+                    raise ConfigError(f"experiment {tag} takes no --{key}")
+            return tag, entry, {key: getattr(args, key) for key in entry.params
+                                if getattr(args, key) is not None}
     raise ConfigError(f"unknown experiment {name!r}")
 
 
@@ -127,13 +128,10 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _experiment_params(entry: harness.Experiment, args) -> dict:
-    """The experiment's data flags that were given, by parameter name."""
-    return {name: getattr(args, name) for name in entry.params
-            if getattr(args, name) is not None}
-
-
-def _write_output(args, text: str) -> None:
+def _write_output(args, csv_text: str, json_obj: dict) -> None:
+    """Write the CSV text or the JSON object, as ``--format`` asks."""
+    text = (csv_text if args.fmt == "csv"
+            else json.dumps(json_obj, indent=2, allow_nan=False) + "\n")
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -145,7 +143,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _run_solve(args) -> int:
-    tag, entry = _experiment(args)
+    tag, entry, params = _experiment(args)
     alpha = _check_alpha(_require(args, "alpha"))
     nx = _require(args, "nx")
     nt = _require(args, "nt")
@@ -154,7 +152,6 @@ def _run_solve(args) -> int:
     for name, default in entry.params.items():
         if default is None:
             _require(args, name)
-    params = _experiment_params(entry, args)
     mesh = fem1d.Mesh1D(nx)
     grid = TemporalGrid.uniform(nt)
     spec = harness.experiment_problem(tag, alpha, **params)
@@ -177,32 +174,26 @@ def _run_solve(args) -> int:
 
     x = np.concatenate([[0.0], mesh.interior_nodes, [1.0]])
     u = np.concatenate([[0.0], field.values[-1], [0.0]])
-    if (args.fmt or "csv") == "csv":
-        lines = ["x,u_final"]
-        lines += [f"{format_float(xi)},{format_float(ui)}" for xi, ui in zip(x, u)]
-        if errors is not None:  # diagnostics ride along as comment lines
-            lines += [f"# E1={format_float(errors['E1'])}",
-                      f"# E2={format_float(errors['E2'])}"]
-        text = "\n".join(lines) + "\n"
-    else:
-        obj = {
-            "meta": {"experiment": tag, "alpha": alpha, "nx": nx, "nt": nt,
-                     "params": params},
-            "final_time_values": {"x": x.tolist(), "u": u.tolist()},
-            "errors": errors,
-            "report": {"steps": grid.num_steps,
-                       "max_residual": float(np.max(report.residual_norms)),
-                       "energy_gap": report.energy_gap,
-                       "wall_time_s": report.wall_time},
-        }
-        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    _write_output(args, text)
+    lines = ["x,u_final"]
+    lines += [f"{format_float(xi)},{format_float(ui)}" for xi, ui in zip(x, u)]
+    if errors is not None:  # diagnostics ride along as comment lines
+        lines += [f"# E1={format_float(errors['E1'])}",
+                  f"# E2={format_float(errors['E2'])}"]
+    _write_output(args, "\n".join(lines) + "\n", {
+        "meta": {"experiment": tag, "alpha": alpha, "nx": nx, "nt": nt,
+                 "params": params},
+        "final_time_values": {"x": x.tolist(), "u": u.tolist()},
+        "errors": errors,
+        "report": {"steps": grid.num_steps,
+                   "max_residual": float(np.max(report.residual_norms)),
+                   "energy_gap": report.energy_gap,
+                   "wall_time_s": report.wall_time},
+    })
     return EXIT_OK
 
 
 def _run_sweep(args) -> int:
-    tag, entry = _experiment(args)
-    axis = args.axis or "space"
+    tag, _, params = _experiment(args)
     if args.alpha is not None:
         _check_alpha(args.alpha)
     for name in ("nx", "nt", "ref_nx", "ref_nt"):
@@ -216,48 +207,45 @@ def _run_sweep(args) -> int:
             raise ConfigError("--ref-nx and --ref-nt must be given together")
         reference = (args.ref_nx, args.ref_nt)
     plan = harness.default_plan(
-        tag, axis, alpha=args.alpha, params=_experiment_params(entry, args),
+        tag, args.axis, alpha=args.alpha, params=params,
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)
     try:
         table = harness.run_sweep(plan, cache_dir=args.cache_dir)
     except OSError as exc:  # an unusable cache directory
         raise ConfigError(f"cannot use the reference cache: {exc}") from exc
-    if (args.fmt or "csv") == "csv":
-        text = table.to_csv_text()
-    else:
-        text = json.dumps(table.to_json_obj(), indent=2, allow_nan=False) + "\n"
-    _write_output(args, text)
+    _write_output(args, table.to_csv_text(), table.to_json_obj())
     return EXIT_OK
 
 
 def _run_verify(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    results = run_property_suite(seed)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+    results = run_property_suite(args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:<{width}} {r.detail}")
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} properties passed (seed {seed})")
+    print(f"{len(results) - failed}/{len(results)} properties passed (seed {args.seed})")
     return EXIT_OK if failed == 0 else EXIT_PROPERTIES
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the config-error code
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        _apply_config_file(args, commands[args.command])
+        if args.config is not None:  # the file's flags first, so the command line wins
+            args = parser.parse_args(
+                [args.command, *_config_tokens(args.config), *argv[1:]])
         if args.command == "solve":
             return _run_solve(args)
         if args.command == "sweep":
             return _run_sweep(args)
         return _run_verify(args)
+    except SystemExit as exc:
+        # argparse exits 2 on bad flags, which matches the config-error code
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -278,7 +278,9 @@ class TestValidation:
         with pytest.raises(DomainError):
             InitialData(kind="power", exponent=-1.0)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # an integer beyond the float range makes math.isfinite raise OverflowError
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       pytest.param(10 ** 400, id="huge-int")])
     @pytest.mark.parametrize("build, name", [
         (lambda v: InitialData(kind="power", scale=v), "scale"),
         (lambda v: InitialData(kind="sine", scale=v), "scale"),

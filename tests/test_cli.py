@@ -327,6 +327,75 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "solve", "--config", "/nonexistent.cfg")
         assert code == 2
 
+    def test_duplicated_key_takes_its_last_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment=manufactured\nalpha=0.8\nnx=16\nnt=8\nnt=32\n")
+        code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        assert "nt=32" in err
+
+    def test_bad_value_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment=manufactured\nalpha=0.8\nnx=abc\nnt=8\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert "--nx" in err and "abc" in err and out == ""
+
+    def test_negative_value_reaches_the_library(self, tmp_path, capsys):
+        # read as --r=-inf; on the command line "--r -inf" reads -inf as a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment=exp1\nalpha=0.5\nr=-inf\nnx=8\nnt=4\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 3
+        assert "must be finite" in err and out == ""
+
+    def test_key_may_be_an_unambiguous_prefix(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("exp=manufactured\nalpha=0.8\nnx=16\nnt=8\n")
+        code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("key", ["config", "conf", "help"])
+    def test_config_and_help_are_not_keys(self, tmp_path, capsys, key):
+        # a --config or --help read from the file would not be followed
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment=manufactured\n{key}=other.cfg\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert err == f"config error: unknown config key {key!r}\n" and out == ""
+
+
+class TestDataFlags:
+    def test_sweep_refuses_a_flag_the_experiment_does_not_take(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "exp3", "--axis", "time", "--nx", "16",
+            "--nt", "4", "--levels", "2", "--ref-nx", "16", "--ref-nt", "64",
+            "--sigma", "0.9")
+        assert code == 2
+        assert "--sigma" in err and out == ""
+
+    def test_solve_refuses_flags_the_experiment_does_not_take(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--experiment", "manufactured", "--alpha", "0.8",
+            "--nx", "16", "--nt", "8", "--r", "5", "--c", "3")
+        assert code == 2
+        assert err == "config error: experiment manufactured takes no --c\n"
+        assert out == ""
+
+    def test_flag_from_the_config_file_is_refused_too(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment=spectral\nalpha=0.6\nmode=2\nnx=16\nnt=16\n"
+                       "sigma=0.5\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert "--sigma" in err and out == ""
+
+    def test_flags_the_experiment_takes_pass(self, capsys):
+        code, _, err = run_cli(
+            capsys, "solve", "--experiment", "exp1", "--alpha", "0.5", "--r", "-0.5",
+            "--sigma", "0.3", "--nx", "8", "--nt", "4")
+        assert code == 0, err
+
 
 class TestVerify:
     def test_seeded_report_is_reproducible(self, capsys):
