@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 domain/precondition error,
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -83,7 +84,7 @@ def _config_tokens(path: str) -> list[str]:
     try:
         with open(path, "r") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     tokens = []
     for lineno, raw in enumerate(lines, start=1):
@@ -128,6 +129,15 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse an unwritable ``--output`` before the run, without touching it."""
+    if path is None:
+        return
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write output: {path!r} is not a writable file path")
+
+
 def _write_output(args, csv_text: str, json_obj: dict) -> None:
     """Write the CSV text or the JSON object, as ``--format`` asks."""
     text = (csv_text if args.fmt == "csv"
@@ -152,6 +162,7 @@ def _run_solve(args) -> int:
     for name, default in entry.params.items():
         if default is None:
             _require(args, name)
+    _check_output(args.output)
     mesh = fem1d.Mesh1D(nx)
     grid = TemporalGrid.uniform(nt)
     spec = harness.experiment_problem(tag, alpha, **params)
@@ -209,6 +220,7 @@ def _run_sweep(args) -> int:
     plan = harness.default_plan(
         tag, args.axis, alpha=args.alpha, params=params,
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)
+    _check_output(args.output)
     try:
         table = harness.run_sweep(plan, cache_dir=args.cache_dir)
     except OSError as exc:  # an unusable cache directory

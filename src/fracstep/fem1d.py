@@ -45,9 +45,7 @@ class Mesh1D:
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix stored as its (diag, off) bands.
 
-    ``matvec`` acts along the last axis.  Bands with a leading axis hold a
-    stack of matrices, one per row of the array they act on; ``factor``
-    takes a single matrix.
+    ``matvec`` acts along the last axis, on every row of an array at once.
     """
 
     diag: np.ndarray

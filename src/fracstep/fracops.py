@@ -2,11 +2,12 @@
 
 Everything here is exact in terms of the gamma function: left fractional
 integrals and derivatives of ``c (t-a)^sigma``, the causal temporal Galerkin
-weight matrix for piecewise constants, and the discrete fractional seminorm
-recovered from the left-right derivative pairing.  The weight matrix and
-both pairings are one four-corner block at orders ``alpha``, ``2 gamma`` and
-``-2 gamma``.  No discretized convolution kernels appear in this module;
-quadrature lives only in the independent oracle (:mod:`fracstep.quadrature`).
+weight matrix for piecewise constants on a uniform grid, and the discrete
+fractional seminorm recovered from the left-right derivative pairing on any
+grid.  The weight matrix's Toeplitz kernel and both pairings are one
+four-corner form at orders ``alpha``, ``2 gamma`` and ``-2 gamma``.  No
+discretized convolution kernels appear in this module; quadrature lives
+only in the independent oracle (:mod:`fracstep.quadrature`).
 """
 
 import math
@@ -161,31 +162,25 @@ def _four_corner(grid: TemporalGrid, order: float, rows=slice(None), cols=slice(
 
 @dataclass(frozen=True)
 class TemporalWeightMatrix:
-    """Causal Galerkin matrix of the left fractional derivative.
+    """Causal Galerkin matrix of the left fractional derivative on a uniform grid.
 
     Entry ``(k, j)`` is the integral over interval ``k`` of the order-alpha
-    derivative of the indicator of interval ``j``; it vanishes for ``j > k``.
-    A uniform grid stores its Toeplitz kernel (the FFT merges need it); any
-    other grid stores nothing, and :meth:`block` evaluates what is asked for.
+    derivative of the indicator of interval ``j``; it vanishes for ``j > k``
+    and depends only on the lag ``k - j``, so the matrix holds its Toeplitz
+    kernel, one value per lag, and no J x J array.
     """
 
     grid: TemporalGrid
     alpha: float
-    _kernel: np.ndarray | None = field(default=None, repr=False)
+    _kernel: np.ndarray = field(repr=False)
 
     @property
     def num_steps(self) -> int:
         return self.grid.num_steps
 
     def block(self, rows: slice, cols: slice) -> np.ndarray:
-        """The dense block ``G[rows, cols]``, zero above the diagonal.
-
-        On a uniform grid it is gathered from the Toeplitz kernel by lag
-        ``k - j``; otherwise the four-corner formula is evaluated on just
-        these rows and columns.
-        """
-        if self._kernel is None:
-            return _four_corner(self.grid, self.alpha, rows, cols)
+        """The dense block ``G[rows, cols]``, zero above the diagonal, gathered
+        from the Toeplitz kernel by lag ``k - j``."""
         J = self.num_steps
         lags = np.subtract.outer(np.arange(*rows.indices(J)),
                                  np.arange(*cols.indices(J)))
@@ -210,26 +205,23 @@ class TemporalWeightMatrix:
     def history_block(self, values: np.ndarray, lo: int, mid: int, hi: int) -> None:
         """Add ``sum_{lo<=j<mid} G[k, j] * values[j]`` to each row ``k`` in ``[mid, hi)``.
 
-        The product is added in place, chunk by chunk, so no array of all its
-        rows is formed; rows outside ``[mid, hi)`` are not touched.  Up to
-        ``n = hi - lo = DENSE_MERGE``, and on nonuniform grids, it is a dense
-        product with :meth:`block`, in row chunks of at most ``errors.CHUNK``
-        block values.  Longer uniform ranges are a Toeplitz product, evaluated
-        as a circular real FFT convolution of length ``n`` with time as the
-        contiguous axis, over about ``errors.CHUNK`` values of the past steps
-        at a time (column chunks), transposed and zero-padded to length ``n``.
-        Every lag ``k - j`` lies in ``1..n-1``, so no term wraps around.
+        The product is added in place; rows outside ``[mid, hi)`` are not
+        touched.  Up to ``n = hi - lo = DENSE_MERGE`` it is one dense product
+        with :meth:`block`, whose ``(hi - mid)(mid - lo) <= (n / 2)^2 <=
+        errors.CHUNK`` values stay within one working buffer for every split.
+        Longer ranges are a Toeplitz product, evaluated as a circular real FFT
+        convolution of length ``n`` with time as the contiguous axis, over
+        about ``errors.CHUNK`` values of the past steps at a time (column
+        chunks), transposed and zero-padded to length ``n``.  Every lag
+        ``k - j`` lies in ``1..n-1``, so no term wraps around.
         """
         n = hi - lo
         past = values[lo:mid]
-        if self._kernel is None or n <= DENSE_MERGE:
-            height = max(1, CHUNK // (mid - lo))
-            for r in range(mid, hi, height):
-                rows = slice(r, min(r + height, hi))
-                values[rows] += self.block(rows, slice(lo, mid)) @ past
+        if n <= DENSE_MERGE:
+            values[mid:hi] += self.block(slice(mid, hi), slice(lo, mid)) @ past
             return
         width = max(1, CHUNK // n)
-        kernel_spectrum = np.fft.rfft(self.block(slice(0, n), slice(0, 1))[:, 0])
+        kernel_spectrum = np.fft.rfft(self._kernel[:n])
         for c in range(0, past.shape[1], width):
             spectrum = np.fft.rfft(past[:, c:c + width].T, n=n)
             spectrum *= kernel_spectrum
@@ -239,20 +231,20 @@ class TemporalWeightMatrix:
 def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     """The causal weight matrix for the order-``alpha`` derivative.
 
-    On a uniform grid the entries depend only on ``k - j`` and the Toeplitz
-    kernel is computed here; on any other grid nothing is precomputed, and
-    :meth:`TemporalWeightMatrix.block` evaluates the four-corner formula on
-    the rows and columns it is asked for.
+    The grid must be uniform: a nonuniform one raises :class:`DomainError`
+    before anything is computed.  The Toeplitz kernel is the four-corner
+    formula of :func:`_four_corner` at lag ``d = k - j``, ``tau^mu ((d+1)^mu
+    - 2 d^mu + (d-1)_+^mu) / Gamma(2 - alpha)`` with ``mu = 1 - alpha``.
     """
     alpha = _ensure_order(alpha, 0, 1, "alpha")
     if not grid.is_uniform():
-        return TemporalWeightMatrix(grid, alpha)
+        raise DomainError("temporal weights need a uniform time grid")
     mu = 1.0 - alpha
     tau = grid.final_time / grid.num_steps
     d = np.arange(grid.num_steps, dtype=float)
     kernel = (_plus_power(d + 1.0, mu) - 2.0 * _plus_power(d, mu)
               + _plus_power(d - 1.0, mu)) * tau ** mu / gamma_fn(2.0 - alpha)
-    return TemporalWeightMatrix(grid, alpha, _kernel=kernel)
+    return TemporalWeightMatrix(grid, alpha, kernel)
 
 
 def _pwc_pairing(grid: TemporalGrid, values, order: float) -> float:

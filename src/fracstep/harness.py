@@ -571,20 +571,23 @@ def load_cached_reference(cache_dir: str, meta: dict,
     """The entry stored under ``meta``, or ``None`` when it cannot be served.
 
     An entry is served only when its sidecar holds ``meta`` and the
-    payload's crc32, and its payload has ``shape``'s size and finite values.
+    payload's crc32, byte for byte as :func:`store_reference` wrote them,
+    and its payload has ``shape``'s size and finite values.  A sidecar of
+    any other bytes, text or not, is a miss.
     """
     meta_text = _cache_meta_text(meta)
     bin_path, meta_path = _cache_paths(cache_dir, meta_text)
     if not (os.path.exists(bin_path) and os.path.exists(meta_path)):
         return None
-    with open(meta_path, "r") as fh:
+    with open(meta_path, "rb") as fh:
         sidecar = fh.read()
-    if not sidecar.startswith(meta_text):  # any metadata mismatch invalidates
+    if not sidecar.startswith(meta_text.encode()):  # any metadata mismatch invalidates
         return None
     data = np.fromfile(bin_path, dtype="<f8")
     # a torn, corrupt or altered payload is a miss; this is the one finiteness
     # check of a cached reference, which is never wrapped in a SpaceTimeField
-    if (data.size != math.prod(shape) or sidecar != meta_text + _checksum_line(data)
+    if (data.size != math.prod(shape)
+            or sidecar != (meta_text + _checksum_line(data)).encode()
             or not np.isfinite(data).all()):
         return None
     return data.reshape(shape)

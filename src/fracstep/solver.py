@@ -1,32 +1,30 @@
 """Causal space-time Galerkin marching for the fractional diffusion scheme.
 
-Stepping ``k = 1..J`` solves
+Stepping ``k = 1..J`` on a uniform time grid solves
 
-    (G_kk M + tau_k K) U_k = F_k - M sum_{j<k} G_kj U_j,
+    (G_00 M + tau K) U_k = F_k - M sum_{j<k} G_kj U_j,
 
-one symmetric positive definite tridiagonal system per step.  On uniform
-grids the step matrix is constant and its LAPACK ``L D L^T`` factorization
-(``dpttrf``) is reused; each step then runs only the ``dpttrs``
-substitutions.
+one symmetric positive definite tridiagonal system per step.  The step
+matrix is the same for every step, so it is built and factored (LAPACK
+``L D L^T``, ``dpttrf``) once per solve; each step then runs only the
+``dpttrs`` substitutions.  A nonuniform grid raises :class:`DomainError` in
+:func:`temporal_weights`, before anything is allocated.
 
 The history sum is split causally over the steps (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A range of more than
 ``HISTORY_BLOCK`` steps is halved: the first half is solved, its history
 contribution to every row of the second half is added in place, in one
-batched product (:meth:`TemporalWeightMatrix.history_block`: a dense block
-product in row chunks up to ``fracops.DENSE_MERGE`` steps and on nonuniform
-grids, a chunked FFT convolution along time above it), and the second half
-is solved.  Shorter ranges, the leaves, march step by step: each leaf takes
-its dense weight block once, reads the diagonal weights from it and adds
-the history within the leaf as one row of that block times the leaf's
-solved steps.  Both grid kinds share this one loop, which costs
-O(N J log^2 J) on uniform grids instead of the naive O(N J^2).  Weights
-are only ever read as such blocks, so on a nonuniform grid no J x J array
-exists.  The naive sum stays in the oracles: :func:`scalar_solve` and
-:func:`energy_identity_gap` read one whole weight row ``G[k, :k+1]`` per
-step, and the property suite compares them and a naive dense march with
-this loop.  :meth:`TemporalWeightMatrix.history_dot` is kept only for the
-tests and the benchmark's tracer.
+batched product (:meth:`TemporalWeightMatrix.history_block`: one dense
+block product up to ``fracops.DENSE_MERGE`` steps, a chunked FFT
+convolution along time above it), and the second half is solved.  Shorter
+ranges, the leaves, march step by step: each leaf takes its dense weight
+block once and adds the history within the leaf as one row of that block
+times the leaf's solved steps.  The loop costs O(N J log^2 J) instead of
+the naive O(N J^2).  The naive sum stays in the oracles:
+:func:`scalar_solve` and :func:`energy_identity_gap` read one whole weight
+row ``G[k, :k+1]`` per step, and the property suite compares them and a
+naive dense march with this loop.  :meth:`TemporalWeightMatrix.history_dot`
+is kept only for the tests and the benchmark's tracer.
 
 Each leaf reads its load rows through one callable, ``rows(steps)``: the
 spec's :class:`assembly.Load`, built once per solve, or a view of a given
@@ -97,15 +95,16 @@ def _causal_blocks(lo: int, hi: int):
 
 def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
           loads: np.ndarray | None = None):
-    """March the space-time system; returns the field and a report.
+    """March the space-time system on a uniform grid; returns the field and a report.
 
     Each leaf reads its rows of ``loads``, a (J, N) array, or else of the
     spec's load terms.  Over ``BUDGET`` cells times steps raise
-    :class:`BudgetError` before anything is allocated.  Each step's linear
-    residual, relative to the step right-hand side, must stay within
-    ``RESIDUAL_TOL``; the Galerkin energy identity is accumulated per leaf
-    from explicit matrix actions and reported as a relative gap.  A residual
-    or an energy gap that is not finite raises :class:`SolverError`.
+    :class:`BudgetError`, and a nonuniform grid :class:`DomainError`, before
+    anything is allocated.  Each step's linear residual, relative to the
+    step right-hand side, must stay within ``RESIDUAL_TOL``; the Galerkin
+    energy identity is accumulated per leaf from explicit matrix actions and
+    reported as a relative gap.  A residual or an energy gap that is not
+    finite raises :class:`SolverError`.
     """
     if mesh.n_cells * grid.num_steps > BUDGET:
         raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
@@ -121,10 +120,19 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
 
     mass = fem1d.assemble_mass(mesh)
     stiffness = fem1d.assemble_stiffness(mesh)
-    tau = grid.tau
+    # the one step matrix G_00 M + tau K, its factor and its norm
+    diag_weight = weights.block(slice(0, 1), slice(0, 1)).item()
+    if not diag_weight > 0.0:
+        raise SolverError(f"non-positive diagonal weight {diag_weight}")
+    tau = grid.tau[0]
+    step_matrix = fem1d.TridiagonalMatrix(diag_weight * mass.diag + tau * stiffness.diag,
+                                          diag_weight * mass.off + tau * stiffness.off)
+    factor = step_matrix.factor()
+    # normwise backward-error scale ||A|| ||u|| + ||rhs||, so the residual
+    # check stays meaningful when the stiffness part dominates on fine meshes
+    matrix_norm = (np.max(np.abs(step_matrix.diag))
+                   + 2.0 * np.max(np.abs(step_matrix.off), initial=0.0))
 
-    uniform = grid.is_uniform()
-    factor = None
     values = np.zeros((J, N))
     residuals = np.empty(J)
     lhs_energy = 0.0
@@ -140,34 +148,15 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
             steps = slice(lo, hi)
             leaf_loads = rows(steps)
             near = weights.block(steps, steps)
-            diag_weights = near.diagonal()
-            bad = np.flatnonzero(~(diag_weights > 0.0))
-            if bad.size:
-                raise SolverError(f"non-positive diagonal weight at step {lo + bad[0]}")
-            # the step matrices G_kk M + tau_k K, one band row per step; on a
-            # uniform grid the first step's matrix serves every step
-            step_tau = tau[steps]
-            if uniform:
-                diag_weights, step_tau = diag_weights[:1], tau[:1]
-            step_matrices = fem1d.TridiagonalMatrix(
-                diag_weights[:, None] * mass.diag + step_tau[:, None] * stiffness.diag,
-                diag_weights[:, None] * mass.off + step_tau[:, None] * stiffness.off)
             hist = np.empty((hi - lo, N))
             for i, k in enumerate(range(lo, hi)):
-                if factor is None or not uniform:
-                    factor = fem1d.TridiagonalMatrix(step_matrices.diag[i],
-                                                     step_matrices.off[i]).factor()
                 hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
                 values[k] = factor.solve(leaf_loads[i] - hist[i])
 
             # residual and energy checks for the whole leaf
             u = values[steps]
             rhs = leaf_loads - hist
-            action = step_matrices.matvec(u)
-            # normwise backward-error scale ||A|| ||u|| + ||rhs||, so the check
-            # stays meaningful when the stiffness part dominates on fine meshes
-            matrix_norm = (np.max(np.abs(step_matrices.diag), axis=1)
-                           + 2.0 * np.max(np.abs(step_matrices.off), axis=1, initial=0.0))
+            action = step_matrix.matvec(u)
             scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
                                + np.linalg.norm(rhs, axis=1), 1e-300)
             residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
@@ -179,7 +168,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
             lhs_energy += float(np.vdot(u, hist + action))
             rhs_energy += float(np.vdot(u, leaf_loads))
             # free the leaf's arrays before the next merge allocates its own
-            del near, hist, rhs, action, step_matrices, leaf_loads
+            del near, hist, rhs, action, leaf_loads
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
     if not math.isfinite(gap):

@@ -51,6 +51,16 @@ class TestSolve:
         assert payload["errors"] is None
         assert payload["report"]["max_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, where):
+        target = tmp_path / where
+        code, out, err = run_cli(
+            capsys, "solve", "--experiment", "manufactured", "--alpha", "0.8",
+            "--nx", "8", "--nt", "4", "--output", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("config error: cannot write output")
+        assert not (tmp_path / "missing-dir").exists()
+
     def test_spectral_solve(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--experiment", "spectral", "--alpha", "0.6",
@@ -217,6 +227,31 @@ class TestSweep:
         assert code == 0, err
         assert first.read_bytes() == second.read_bytes()
 
+    def test_non_utf8_cache_sidecar_is_a_miss(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ("sweep", "--experiment", "exp3", "--axis", "time", "--nx", "16",
+                "--nt", "4", "--levels", "2", "--ref-nx", "16", "--ref-nt", "16")
+        code, cold, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert run_cli(capsys, *args, "--cache-dir", str(cache))[0] == 0
+        next(cache.glob("*.meta")).write_bytes(b"\xff\xfe")
+        code, warm, err = run_cli(capsys, *args, "--cache-dir", str(cache))
+        assert code == 0, err
+        assert warm == cold
+
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr("fracstep.harness.run_sweep", no_sweep)
+        target = tmp_path / "missing-dir" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "manufactured", "--axis", "time",
+            "--nx", "8", "--nt", "4", "--levels", "2", "--output", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("config error: cannot write output")
+        assert not target.parent.exists()
+
     def test_overflowing_data_exits_three(self, tmp_path, capsys):
         # at c = 1e160 the energy sums and squared errors overflow; the JSON
         # once held Infinity and NaN
@@ -326,6 +361,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--config", "/nonexistent.cfg")
         assert code == 2
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: cannot read config file")
 
     def test_duplicated_key_takes_its_last_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -155,7 +155,7 @@ class TestTemporalWeights:
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=7))])
         grid = TemporalGrid(nodes)
         for alpha in (0.2, 0.5, 0.8):
-            totals = temporal_weights(grid, alpha).dense().sum(axis=1)
+            totals = np.tril(_four_corner(grid, alpha)).sum(axis=1)
             assert np.allclose(totals, initial_time_factors(grid, alpha),
                                rtol=1e-12, atol=0.0)
 
@@ -172,14 +172,9 @@ class TestTemporalWeights:
             for j in range(1, k + 1):
                 assert dense[k, j] == pytest.approx(dense[k - 1, j - 1], rel=1e-13)
 
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_history_block_matches_dense_product(self, uniform):
+    def test_history_block_matches_dense_product(self):
         rng = np.random.default_rng(23)
-        if uniform:
-            grid = TemporalGrid.uniform(100, 1.0)
-        else:
-            grid = TemporalGrid(np.concatenate([[0.0], np.cumsum(
-                rng.uniform(0.2, 1.0, size=100))]))
+        grid = TemporalGrid.uniform(100, 1.0)
         values = rng.uniform(-1.0, 1.0, size=(100, 5))
         for alpha in (0.02, 0.5, 0.98):
             weights = temporal_weights(grid, alpha)
@@ -187,11 +182,9 @@ class TestTemporalWeights:
             for lo, mid, hi in ((0, 50, 100), (0, 1, 2), (37, 68, 100), (10, 41, 73)):
                 _assert_history_block_adds(weights, dense, values, lo, mid, hi)
 
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_block_matches_dense_slices(self, uniform):
+    def test_block_matches_dense_slices(self):
         J = 40
-        grid = (TemporalGrid.uniform(J, 1.0) if uniform
-                else TemporalGrid((np.arange(J + 1) / J) ** 2))
+        grid = TemporalGrid.uniform(J, 1.0)
         weights = temporal_weights(grid, 0.4)
         dense = weights.dense()
         # a leaf, blocks below the diagonal, blocks straddling it, one above
@@ -215,39 +208,14 @@ class TestTemporalWeights:
         for lo, mid, hi in ((0, 550, 1100), (0, 256, 512), (37, 600, 1100)):
             _assert_history_block_adds(weights, dense, values, lo, mid, hi)
 
-    def test_nonuniform_weights_store_no_matrix(self):
-        J = 600
-        weights = temporal_weights(TemporalGrid((np.arange(J + 1) / J) ** 2), 0.6)
-        held = [value for obj in (weights, weights.grid)
-                for value in vars(obj).values() if isinstance(value, np.ndarray)]
-        assert held and max(array.size for array in held) <= J + 1
+    def test_dense_merge_block_fits_one_working_buffer(self):
+        # a dense merge of n <= DENSE_MERGE steps forms at most (n / 2)^2 values
+        assert DENSE_MERGE ** 2 // 4 <= CHUNK
 
-    def test_graded_block_equals_four_corner_slices(self):
-        J, alpha = 90, 0.3
-        grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
-        weights = temporal_weights(grid, alpha)
-        full = np.tril(_four_corner(grid, alpha))
-        # a leaf, below, straddling and above the diagonal, one row, all
-        for rows, cols in ((slice(10, 74), slice(10, 74)), (slice(45, 90), slice(0, 45)),
-                           (slice(5, 60), slice(30, 88)), (slice(0, 20), slice(50, 90)),
-                           (slice(61, 62), slice(0, 62)), (slice(None), slice(None))):
-            block = weights.block(rows, cols)
-            assert block.tobytes() == np.ascontiguousarray(full[rows, cols]).tobytes()
-
-    def test_nonuniform_history_block_in_row_chunks(self):
-        J = 600
-        grid = TemporalGrid((np.arange(J + 1) / J) ** 2)
-        weights = temporal_weights(grid, 0.7)
-        assert 300 * 300 > CHUNK  # more than one chunk of block rows
-        values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(J, 4))
-        expected = weights.dense()[300:600, :300] @ values[:300]
-        # nonzero target rows of the product's size, entry by entry (see
-        # _assert_history_block_adds); the merge must add to them
-        values[300:] = expected * np.random.default_rng(6).uniform(0.5, 1.5, expected.shape)
-        before = values.copy()
-        weights.history_block(values, 0, 300, 600)
-        np.testing.assert_allclose(values[300:] - before[300:], expected, rtol=1e-12)
-        assert np.array_equal(values[:300], before[:300])
+    def test_graded_grid_rejected(self):
+        grid = TemporalGrid((np.arange(41) / 40) ** 2)
+        with pytest.raises(DomainError, match="uniform"):
+            temporal_weights(grid, 0.4)
 
     def test_dense_over_budget_rejected_before_allocating(self, monkeypatch):
         def no_block(self, rows, cols):
@@ -318,7 +286,7 @@ class TestPairingWeightEquivalence:
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=6))])
         grid = TemporalGrid(nodes)
         for alpha in (0.3, 0.6, 0.9):
-            dense_weights = temporal_weights(grid, alpha).dense()
+            dense_weights = np.tril(_four_corner(grid, alpha))
             for values in rng.uniform(-1.0, 1.0, size=(5, 6)):
                 pairing = derivative_pairing_pwc(grid, values, alpha / 2.0)
                 assert pairing == pytest.approx(values @ dense_weights @ values,

@@ -86,15 +86,10 @@ class TestSolve:
 
     # the checks run once per leaf; the first failing step, here one past
     # step 64 with later steps of its leaf failing too, must be the one named
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_first_failing_residual_is_named(self, uniform, monkeypatch):
+    def test_first_failing_residual_is_named(self, monkeypatch):
         rng = np.random.default_rng(29)
         J = 200
-        if uniform:
-            grid = TemporalGrid.uniform(J, 1.0)
-        else:
-            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=J))])
-            grid = TemporalGrid(nodes / nodes[-1])
+        grid = TemporalGrid.uniform(J, 1.0)
         mesh = fem1d.Mesh1D(16)
         spec = ProblemSpec(alpha=0.6)
         loads = rng.uniform(-1.0, 1.0, size=(J, 15))
@@ -227,28 +222,11 @@ class TestBlockEquivalence:
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
-    def test_marched_equals_dense_nonuniform(self):
-        rng = np.random.default_rng(13)
-        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=12))])
-        grid = TemporalGrid(nodes / nodes[-1])
-        mesh = fem1d.Mesh1D(8)
-        spec = experiment1_spec(0.5)
-        loads = assembly.assemble_load(spec, grid, mesh)
-        marched, _ = solver.solve(spec, grid, mesh, loads=loads)
-        dense = solver.dense_block_solve(grid, mesh, 0.5, loads)
-        scale = np.max(np.abs(dense))
-        assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
-
     @pytest.mark.parametrize("alpha", [0.02, 0.98])
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_marched_equals_dense_across_merges(self, alpha, uniform):
+    def test_marched_equals_dense_across_merges(self, alpha):
         # J = 129 puts a merge boundary at step 64 and leaves of 32 and 33
         rng = np.random.default_rng(17)
-        if uniform:
-            grid = TemporalGrid.uniform(129, 1.0)
-        else:
-            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=129))])
-            grid = TemporalGrid(nodes / nodes[-1])
+        grid = TemporalGrid.uniform(129, 1.0)
         mesh = fem1d.Mesh1D(4)
         loads = rng.uniform(-1.0, 1.0, size=(129, 3))
         marched, _ = solver.solve(ProblemSpec(alpha=alpha), grid,
@@ -292,9 +270,9 @@ class TestEnergyIdentity:
         assert standalone <= 1e-10
 
 
-# a uniform grid with uneven leaves and one FFT merge, and a graded one
+# uneven leaves and one FFT merge, and leaves with dense merges only
 LEAF_GRIDS = {"uniform-64x1100": (64, TemporalGrid.uniform(1100, 1.0)),
-              "graded-16x300": (16, TemporalGrid((np.arange(301) / 300) ** 2))}
+              "uniform-16x300": (16, TemporalGrid.uniform(300, 1.0))}
 
 
 class TestLeafLoads:
@@ -368,3 +346,38 @@ class TestLeafLoads:
             tracemalloc.stop()
         assert field.values.nbytes == field_bytes
         assert peak < field_bytes + 6 * CHUNK * 8
+
+
+class TestUniformGridOnly:
+    def test_solve_refuses_a_graded_grid_before_allocating(self):
+        grid = TemporalGrid((np.arange(1001) / 1000) ** 2)
+        mesh = fem1d.Mesh1D(64)
+        assert grid.num_steps * mesh.n_interior * 8 > 1 << 16  # the field alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="uniform"):
+                solver.solve(experiment1_spec(0.5), grid, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_oracles_refuse_a_graded_grid(self):
+        grid = TemporalGrid((np.arange(9) / 8) ** 2)
+        with pytest.raises(DomainError, match="uniform"):
+            solver.scalar_solve(0.5, 1.0, grid, y0=1.0)
+        with pytest.raises(DomainError, match="uniform"):
+            solver.dense_block_solve(grid, fem1d.Mesh1D(4), 0.5, np.zeros((8, 3)))
+
+    def test_one_factorisation_per_solve(self, monkeypatch):
+        sizes = []
+        factor = fem1d.TridiagonalMatrix.factor
+
+        def spy(self):
+            sizes.append(self.size)
+            return factor(self)
+
+        monkeypatch.setattr(fem1d.TridiagonalMatrix, "factor", spy)
+        nx, grid = LEAF_GRIDS["uniform-64x1100"]
+        solver.solve(experiment1_spec(0.5), grid, fem1d.Mesh1D(nx))
+        assert sizes == [nx - 1]
