@@ -133,8 +133,11 @@ def _check_output(path: str | None) -> None:
     """Refuse an unwritable ``--output`` before the run, without touching it."""
     if path is None:
         return
-    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.access(target, os.W_OK):
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    # an empty basename is the empty path or one ending in a separator
+    if (not os.path.basename(path) or os.path.isdir(path)
+            or not os.path.isdir(folder) or not os.access(target, os.W_OK)):
         raise ConfigError(f"cannot write output: {path!r} is not a writable file path")
 
 

@@ -84,8 +84,10 @@ class TemporalGrid:
         return np.diff(self.nodes)
 
     def is_uniform(self) -> bool:
+        """Equal steps up to node rounding, which moves a step by about an
+        ulp of ``T`` whatever the step count; hence a tolerance in ``T``."""
         tau = self.tau
-        return bool(np.all(np.abs(tau - tau[0]) <= 1e-12 * tau[0]))
+        return bool(np.all(np.abs(tau - tau[0]) <= 1e-12 * self.final_time))
 
 
 def _ensure_order(gamma: float, lo, hi, what: str) -> float:

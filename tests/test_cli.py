@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import time
@@ -51,15 +52,25 @@ class TestSolve:
         assert payload["errors"] is None
         assert payload["report"]["max_residual"] <= 1e-12
 
-    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", ".", "missing-dir/", None],
+                             ids=["missing-dir", "a-dir", "trailing-separator", "empty"])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, where):
-        target = tmp_path / where
+        target = "" if where is None else os.path.join(str(tmp_path), where)
         code, out, err = run_cli(
             capsys, "solve", "--experiment", "manufactured", "--alpha", "0.8",
-            "--nx", "8", "--nt", "4", "--output", str(target))
+            "--nx", "8", "--nt", "4", "--output", target)
         assert code == 2
         assert out == "" and err.startswith("config error: cannot write output")
         assert not (tmp_path / "missing-dir").exists()
+
+    def test_many_steps_not_a_power_of_two_solve(self, capsys):
+        # the nodes of TemporalGrid.uniform(100000) are rounded; the march
+        # must still take the grid as uniform
+        code, _, err = run_cli(
+            capsys, "solve", "--experiment", "manufactured", "--alpha", "0.5",
+            "--nx", "2", "--nt", "100000")
+        assert code == 0, err
+        assert "nt=100000" in err
 
     def test_spectral_solve(self, capsys):
         code, out, _ = run_cli(

@@ -217,6 +217,15 @@ class TestTemporalWeights:
         with pytest.raises(DomainError, match="uniform"):
             temporal_weights(grid, 0.4)
 
+    @pytest.mark.parametrize("num_steps", [10000, 100000])
+    def test_uniform_grid_with_rounded_nodes_accepted(self, num_steps):
+        # the nodes k / J of a J that is not a power of two are rounded, so
+        # the steps differ by up to an ulp of T: far more than 1e-12 tau
+        grid = TemporalGrid.uniform(num_steps)
+        assert np.ptp(grid.tau) > 1e-12 * grid.tau[0]
+        weights = temporal_weights(grid, 0.5)
+        assert weights.block(slice(0, 2), slice(0, 2))[1, 0] < 0.0
+
     def test_dense_over_budget_rejected_before_allocating(self, monkeypatch):
         def no_block(self, rows, cols):
             raise AssertionError("block evaluated before the budget check")
