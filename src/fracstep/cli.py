@@ -136,7 +136,7 @@ def _check_output(path: str | None) -> None:
     folder = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else folder
     # an empty basename is the empty path or one ending in a separator
-    if (not os.path.basename(path) or os.path.isdir(path)
+    if ("\0" in path or not os.path.basename(path) or os.path.isdir(path)
             or not os.path.isdir(folder) or not os.access(target, os.W_OK)):
         raise ConfigError(f"cannot write output: {path!r} is not a writable file path")
 
@@ -224,6 +224,9 @@ def _run_sweep(args) -> int:
         tag, args.axis, alpha=args.alpha, params=params,
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)
     _check_output(args.output)
+    if args.cache_dir is not None and (not args.cache_dir or "\0" in args.cache_dir):
+        raise ConfigError(f"cannot use the reference cache: {args.cache_dir!r} "
+                          "is not a directory path")
     try:
         table = harness.run_sweep(plan, cache_dir=args.cache_dir)
     except OSError as exc:  # an unusable cache directory

@@ -49,9 +49,9 @@ AXIS_TIME = "time"
 CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # or the entry layout change, so that entries written by earlier numerics or
-# in another layout are never served.  Format 7 stores the finest level's
-# moments (see :func:`_reference_moments`) with a crc32 in the sidecar.
-_CACHE_FORMAT = "7"
+# in another layout are never served.  Format 8 stores the finest level's
+# moments (see :func:`_reference_moments`) after the key and a crc32 line.
+_CACHE_FORMAT = "8"
 
 
 # ---------------------------------------------------------------------------
@@ -534,27 +534,24 @@ def space_time_error(coarse: solver.SpaceTimeField,
 
 
 # ---------------------------------------------------------------------------
-# reference cache (flat little-endian float64 + text sidecar)
+# reference cache: one file per entry (key text, crc32 line, <f8 payload)
 # ---------------------------------------------------------------------------
 
-def _cache_meta_text(meta: dict) -> str:
-    lines = [f"{key}={format_float(value) if isinstance(value, float) else value}"
+def _cache_key(meta: dict) -> bytes:
+    lines = [f"{key}={format_float(value) if isinstance(value, float) else value}\n"
              for key, value in sorted(meta.items())]
-    return "\n".join(lines) + "\n"
+    return "".join(lines).encode()
 
 
-def _cache_paths(cache_dir: str, meta_text: str) -> tuple[str, str]:
-    digest = hashlib.sha256(meta_text.encode()).hexdigest()[:24]
-    base = os.path.join(cache_dir, f"ref_{digest}")
-    return base + ".bin", base + ".meta"
+def _cache_path(cache_dir: str, key: bytes) -> str:
+    return os.path.join(cache_dir, f"ref_{hashlib.sha256(key).hexdigest()[:24]}.bin")
 
 
 def _reference_meta(plan: SweepPlan) -> dict:
     """The cache key of ``plan``'s reference moments on its finest level's grid."""
     ref_nx, ref_nt = plan.reference
-    # sweeps always run on T = 1; "T" stays in the key so cache names do not change
     meta = {"format": _CACHE_FORMAT, "experiment": plan.experiment,
-            "alpha": float(plan.alpha), "T": 1.0,
+            "alpha": float(plan.alpha),
             "n_cells": str(ref_nx), "num_steps": str(ref_nt),
             "moment_steps": str(max(nt for _, nt in plan.levels))}
     for key in sorted(plan.params):
@@ -562,61 +559,52 @@ def _reference_meta(plan: SweepPlan) -> dict:
     return meta
 
 
-def _checksum_line(payload: np.ndarray) -> str:
-    return f"crc32={zlib.crc32(payload)}\n"
+def _checksum_line(payload: np.ndarray) -> bytes:
+    return f"crc32={zlib.crc32(payload)}\n".encode()
 
 
 def load_cached_reference(cache_dir: str, meta: dict,
                           shape: tuple[int, ...]) -> np.ndarray | None:
     """The entry stored under ``meta``, or ``None`` when it cannot be served.
 
-    An entry is served only when its sidecar holds ``meta`` and the
-    payload's crc32, byte for byte as :func:`store_reference` wrote them,
-    and its payload has ``shape``'s size and finite values.  A sidecar of
-    any other bytes, text or not, is a miss.
+    An entry is served only when it holds ``meta`` and the payload's crc32
+    line, byte for byte as :func:`store_reference` wrote them, then exactly
+    ``shape``'s size of finite values; other bytes or no entry are a miss.
+    Any other ``OSError``, say a directory in the entry's place, propagates:
+    as a miss it would fail at the rename, after the solve.
     """
-    meta_text = _cache_meta_text(meta)
-    bin_path, meta_path = _cache_paths(cache_dir, meta_text)
-    if not (os.path.exists(bin_path) and os.path.exists(meta_path)):
+    key = _cache_key(meta)
+    data = np.empty(math.prod(shape), dtype="<f8")
+    try:
+        with open(_cache_path(cache_dir, key), "rb") as fh:
+            header = fh.read(len(key)) + fh.readline()
+            complete = fh.readinto(data) == data.nbytes and not fh.read(1)
+    except FileNotFoundError:
         return None
-    with open(meta_path, "rb") as fh:
-        sidecar = fh.read()
-    if not sidecar.startswith(meta_text.encode()):  # any metadata mismatch invalidates
-        return None
-    data = np.fromfile(bin_path, dtype="<f8")
-    # a torn, corrupt or altered payload is a miss; this is the one finiteness
-    # check of a cached reference, which is never wrapped in a SpaceTimeField
-    if (data.size != math.prod(shape)
-            or sidecar != (meta_text + _checksum_line(data)).encode()
+    # the one finiteness check of a cached reference, never wrapped in a SpaceTimeField
+    if (not complete or header != key + _checksum_line(data)
             or not np.isfinite(data).all()):
         return None
     return data.reshape(shape)
 
 
-def _write_by_rename(path: str, write) -> None:
-    """Let ``write(fh)`` fill a temporary file beside ``path``, then rename it."""
+def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
+    """Write one cache entry, ``meta`` and the payload's crc32 line before
+    the payload, to a temporary file published by one rename.
+    """
+    os.makedirs(cache_dir, exist_ok=True)
+    key = _cache_key(meta)
+    path = _cache_path(cache_dir, key)
+    payload = np.ascontiguousarray(values, dtype="<f8")
     tmp_path = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp_path, "xb") as fh:
-            write(fh)
+            fh.write(key + _checksum_line(payload))
+            fh.write(payload)
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
-
-
-def store_reference(cache_dir: str, meta: dict, values: np.ndarray) -> None:
-    """Write one cache entry; the sidecar lands last, so a torn entry is a miss.
-
-    The sidecar is ``meta`` as text with the payload's crc32 as its last line.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    meta_text = _cache_meta_text(meta)
-    bin_path, meta_path = _cache_paths(cache_dir, meta_text)
-    payload = np.ascontiguousarray(values, dtype="<f8")
-    _write_by_rename(bin_path, payload.tofile)
-    sidecar = meta_text + _checksum_line(payload)
-    _write_by_rename(meta_path, lambda fh: fh.write(sidecar.encode()))
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,8 @@ def _result(name, err, tol, extra=""):
     return PropertyResult(name, err <= tol, note)
 
 
-def _random_grid(rng, max_intervals=8, uniform=False, min_intervals=3) -> TemporalGrid:
-    J = int(rng.integers(min_intervals, max_intervals + 1))
-    if uniform:
-        return TemporalGrid.uniform(J, 1.0)
+def _random_grid(rng, max_intervals=8) -> TemporalGrid:
+    J = int(rng.integers(3, max_intervals + 1))
     steps = rng.uniform(0.2, 1.0, size=J)
     nodes = np.concatenate([[0.0], np.cumsum(steps)])
     return TemporalGrid(nodes / nodes[-1])
@@ -366,7 +364,7 @@ def prop_power_load(rng) -> PropertyResult:
 
 def prop_separability(rng) -> PropertyResult:
     """Assembled loads equal their entrywise scalar-product recomputation."""
-    grid = _random_grid(rng, max_intervals=6, uniform=True)
+    grid = TemporalGrid.uniform(int(rng.integers(3, 7)))
     mesh = fem1d.Mesh1D(8)
     spec = _experiment1(0.4)
     loads = assembly.assemble_load(spec, grid, mesh)
@@ -478,8 +476,7 @@ def prop_fast_history(rng) -> PropertyResult:
     worst = 0.0
     mesh = fem1d.Mesh1D(4)
     for alpha in (0.05 - rng.uniform(0.0, 0.05), rng.uniform(0.95, 1.0)):
-        grid = _random_grid(rng, max_intervals=160, uniform=True,
-                            min_intervals=solver.HISTORY_BLOCK + 1)
+        grid = TemporalGrid.uniform(int(rng.integers(solver.HISTORY_BLOCK + 1, 161)))
         loads = rng.uniform(-1.0, 1.0, size=(grid.num_steps, mesh.n_interior))
         marched, _ = solver.solve(assembly.ProblemSpec(alpha=alpha),
                                   grid, mesh, loads=loads)

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import time
 import warnings
@@ -9,6 +10,11 @@ import pytest
 
 from fracstep.cli import main
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
+
+
+# an exp3 time sweep of two levels against a 16x16 reference, a few ms per run
+TINY_SWEEP = ("--experiment", "exp3", "--axis", "time", "--nx", "16", "--nt", "4",
+              "--levels", "2", "--ref-nx", "16", "--ref-nt", "16")
 
 
 def run_cli(capsys, *argv):
@@ -52,8 +58,10 @@ class TestSolve:
         assert payload["errors"] is None
         assert payload["report"]["max_residual"] <= 1e-12
 
-    @pytest.mark.parametrize("where", ["missing-dir/x.csv", ".", "missing-dir/", None],
-                             ids=["missing-dir", "a-dir", "trailing-separator", "empty"])
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", ".", "missing-dir/", None,
+                                       "o\0ut.csv"],
+                             ids=["missing-dir", "a-dir", "trailing-separator", "empty",
+                                  "nul"])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, where):
         target = "" if where is None else os.path.join(str(tmp_path), where)
         code, out, err = run_cli(
@@ -232,20 +240,20 @@ class TestSweep:
         first = tmp_path / "c1.csv"
         second = tmp_path / "c2.csv"
         assert run_cli(capsys, *args, "--output", str(first))[0] == 0
-        payload = next(cache.glob("*.bin"))  # its first value becomes a NaN
-        payload.write_bytes(b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + payload.read_bytes()[8:])
+        entry = next(cache.glob("*.bin"))  # its last value becomes a NaN
+        entry.write_bytes(entry.read_bytes()[:-8] + b"\x00\x00\x00\x00\x00\x00\xf8\x7f")
         code, _, err = run_cli(capsys, *args, "--output", str(second))
         assert code == 0, err
         assert first.read_bytes() == second.read_bytes()
 
     def test_non_utf8_cache_sidecar_is_a_miss(self, tmp_path, capsys):
         cache = tmp_path / "cache"
-        args = ("sweep", "--experiment", "exp3", "--axis", "time", "--nx", "16",
-                "--nt", "4", "--levels", "2", "--ref-nx", "16", "--ref-nt", "16")
+        args = ("sweep", *TINY_SWEEP)
         code, cold, _ = run_cli(capsys, *args)
         assert code == 0
         assert run_cli(capsys, *args, "--cache-dir", str(cache))[0] == 0
-        next(cache.glob("*.meta")).write_bytes(b"\xff\xfe")
+        (entry,) = cache.iterdir()
+        entry.write_bytes(b"\xff\xfe" + entry.read_bytes()[2:])  # over the key's first bytes
         code, warm, err = run_cli(capsys, *args, "--cache-dir", str(cache))
         assert code == 0, err
         assert warm == cold
@@ -262,6 +270,19 @@ class TestSweep:
         assert code == 2
         assert out == "" and err.startswith("config error: cannot write output")
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("line", ["cache_dir=c\0d", "cache_dir="], ids=["nul", "empty"])
+    def test_unusable_cache_dir_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     line):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the cache directory was checked")
+
+        monkeypatch.setattr("fracstep.harness.run_sweep", no_sweep)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *TINY_SWEEP)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: cannot use the reference cache")
 
     def test_overflowing_data_exits_three(self, tmp_path, capsys):
         # at c = 1e160 the energy sums and squared errors overflow; the JSON
@@ -483,3 +504,58 @@ class TestArgparse:
 
     def test_unknown_command_exits_config_code(self, capsys):
         assert main(["dance"]) == 2
+
+
+def _mutants(seed, data, count):
+    """``count`` seeded corruptions of ``data`` of each kind: one flipped bit,
+    a truncation, one NUL byte and random bytes of the same length."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        flipped, nul = bytearray(data), bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        nul[rng.randrange(len(data))] = 0
+        yield bytes(flipped)
+        yield data[:rng.randrange(len(data))]
+        yield bytes(nul)
+        yield rng.randbytes(len(data))
+
+
+class TestFuzz:
+    """Byte-level corruptions of the two files a sweep reads, its config file
+    and its reference-cache entry: ``main`` exits 0, 2 or 3 and raises nothing."""
+
+    def test_corrupted_config_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a mutated relative cache_dir stays in tmp_path
+        cfg = tmp_path / "run.cfg"
+        # experiment last: a truncation drops it, and the sweep exits 2 at once
+        # instead of running the experiment's desk plan
+        text = (b"axis=time\nnx=16\nnt=4\nlevels=2\nref_nx=16\nref_nt=16\n"
+                b"cache_dir=cache\nexperiment=exp3\n")
+        cfg.write_bytes(text)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        for mutant in _mutants(1, text, 100):
+            cfg.write_bytes(mutant)
+            code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+            assert code in (0, 2, 3), (mutant, err)
+        cfg.unlink()
+        cfg.mkdir()
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: cannot read config file")
+
+    def test_corrupted_cache_entry_is_a_miss(self, tmp_path, capsys):
+        args = ("sweep", *TINY_SWEEP, "--cache-dir", str(tmp_path))
+        code, cold, _ = run_cli(capsys, *args)
+        assert code == 0
+        (entry,) = tmp_path.iterdir()
+        stored = entry.read_bytes()
+        for mutant in _mutants(2, stored, 60):
+            entry.write_bytes(mutant)
+            code, out, err = run_cli(capsys, *args)
+            assert (code, out) == (0, cold), (mutant, err)
+            assert entry.read_bytes() == stored  # solved again and stored again
+        entry.unlink()
+        entry.mkdir()  # cannot be opened, nor replaced after the solve
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: cannot use the reference cache")

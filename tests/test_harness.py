@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -503,6 +504,13 @@ def _counted_solve_steps(monkeypatch) -> list:
     return steps
 
 
+def _entry_parts(path):
+    """The header (key lines, then the crc32 line) and the payload of an entry."""
+    raw = path.read_bytes()
+    end = raw.index(b"\n", raw.index(b"crc32=")) + 1
+    return raw[:end], raw[end:]
+
+
 class TestCache:
     def test_roundtrip_and_mismatch(self, tmp_path):
         meta = {"format": "1", "experiment": "check", "alpha": 0.5,
@@ -519,19 +527,19 @@ class TestCache:
                 "T": 1.0, "n_cells": "8", "num_steps": "4"}
         values = np.zeros((4, 3))
         store_reference(str(tmp_path), meta, values)
-        sidecar = next(p for p in os.listdir(tmp_path) if p.endswith(".meta"))
-        with open(tmp_path / sidecar, "a") as fh:
-            fh.write("tampered=yes\n")
+        (entry,) = tmp_path.iterdir()
+        raw = entry.read_bytes()
+        tampered = raw.replace(b"experiment=check\n", b"experiment=chuck\n")
+        assert tampered != raw
+        entry.write_bytes(tampered)
         assert load_cached_reference(str(tmp_path), meta, (4, 3)) is None
 
     def test_store_leaves_only_the_entry(self, tmp_path):
         meta = {"format": "1", "experiment": "check", "alpha": 0.5,
                 "T": 1.0, "n_cells": "8", "num_steps": "4"}
         store_reference(str(tmp_path), meta, np.ones((4, 3)))
-        names = sorted(os.listdir(tmp_path))
-        assert len(names) == 2
-        assert names[0].endswith(".bin") and names[1].endswith(".meta")
-        assert names[0][:-4] == names[1][:-5]
+        (name,) = os.listdir(tmp_path)
+        assert name.startswith("ref_") and name.endswith(".bin")
 
     def test_store_failing_at_the_sidecar_is_not_served(self, tmp_path, monkeypatch):
         meta = {"format": "1", "experiment": "check", "alpha": 0.5,
@@ -539,16 +547,14 @@ class TestCache:
         real_replace = os.replace
 
         def replace(src, dst):
-            if dst.endswith(".meta"):
-                raise OSError("disk full")
-            real_replace(src, dst)
+            raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(OSError):
             store_reference(str(tmp_path), meta, np.ones((4, 3)))
         monkeypatch.undo()
         assert load_cached_reference(str(tmp_path), meta, (4, 3)) is None
-        assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_uses_cache(self, tmp_path):
         plan = SweepPlan(experiment="manufactured", alpha=0.8, axis="space",
@@ -564,8 +570,9 @@ class TestCache:
         # mass and stiff are 16 * (2 * 15 + 3) values
         plan = default_plan(**TINY_PLAN)
         run_sweep(plan, cache_dir=str(tmp_path))
-        (payload,) = tmp_path.glob("*.bin")
-        stored = np.fromfile(payload, dtype="<f8")
+        (entry,) = tmp_path.iterdir()
+        header, payload = _entry_parts(entry)
+        stored = np.frombuffer(payload, dtype="<f8")
         assert stored.size == 16 * (2 * 15 + 3)
         spec = experiment_problem(plan.experiment, plan.alpha)
         field, _ = solver.solve(spec, TemporalGrid.uniform(64), fem1d.Mesh1D(16))
@@ -575,9 +582,9 @@ class TestCache:
         for part, array in zip(parts, (expected.weights, expected.means, expected.lows,
                                        expected.mass, expected.stiff)):
             assert np.array_equal(part, array.ravel())
-        sidecar = payload.with_suffix(".meta").read_text().splitlines()
-        assert "moment_steps=16" in sidecar
-        assert sidecar[-1] == f"crc32={zlib.crc32(stored)}"
+        lines = header.decode().splitlines()
+        assert "moment_steps=16" in lines
+        assert lines[-1] == f"crc32={zlib.crc32(stored)}"
 
     def test_cold_warm_and_uncached_csvs_agree(self, tmp_path, monkeypatch):
         monkeypatch.delenv(harness.CACHE_ENV_VAR)
@@ -603,39 +610,39 @@ class TestCache:
     def test_non_finite_payload_is_a_miss(self, tmp_path):
         plan = default_plan(**TINY_PLAN)
         first = run_sweep(plan, cache_dir=str(tmp_path))
-        payload = next(tmp_path.glob("*.bin"))
-        stored = payload.read_bytes()
+        (entry,) = tmp_path.iterdir()
+        stored = entry.read_bytes()
+        header, payload = _entry_parts(entry)
         meta = harness._reference_meta(plan)
-        size = len(stored) // 8
+        size = len(payload) // 8
         assert load_cached_reference(str(tmp_path), meta, (size,)) is not None
-        corrupt = np.frombuffer(stored, dtype="<f8").copy()
+        corrupt = np.frombuffer(payload, dtype="<f8").copy()
         corrupt[100] = np.nan
-        payload.write_bytes(corrupt.tobytes())
         # a matching checksum, so that only the finiteness check can refuse it
-        sidecar = payload.with_suffix(".meta")
-        text = sidecar.read_text()
-        sidecar.write_text(text[:text.rindex("crc32=")] + f"crc32={zlib.crc32(corrupt)}\n")
+        key = header[:header.rindex(b"crc32=")]
+        entry.write_bytes(key + f"crc32={zlib.crc32(corrupt)}\n".encode() + corrupt.tobytes())
         assert load_cached_reference(str(tmp_path), meta, (size,)) is None
         # recomputed and stored again, instead of a DomainError
         second = run_sweep(plan, cache_dir=str(tmp_path))
         assert second.rows == first.rows
-        assert payload.read_bytes() == stored
+        assert entry.read_bytes() == stored
 
     def test_altered_finite_value_fails_the_checksum(self, tmp_path):
         plan = default_plan(**TINY_PLAN)
         first = run_sweep(plan, cache_dir=str(tmp_path))
-        payload = next(tmp_path.glob("*.bin"))
-        stored = payload.read_bytes()
-        altered = np.frombuffer(stored, dtype="<f8").copy()
+        (entry,) = tmp_path.iterdir()
+        stored = entry.read_bytes()
+        header, payload = _entry_parts(entry)
+        altered = np.frombuffer(payload, dtype="<f8").copy()
         altered[100] += 1.0
-        payload.write_bytes(altered.tobytes())
+        entry.write_bytes(header + altered.tobytes())
         meta = harness._reference_meta(plan)
         assert load_cached_reference(str(tmp_path), meta, (altered.size,)) is None
         second = run_sweep(plan, cache_dir=str(tmp_path))
         assert second.rows == first.rows
-        assert payload.read_bytes() == stored
+        assert entry.read_bytes() == stored
 
-    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5", "6"])
+    @pytest.mark.parametrize("old_format", ["1", "2", "3", "4", "5", "6", "7"])
     def test_entry_from_older_numerics_not_served(self, tmp_path, old_format):
         # the entry an older format wrote for this plan's reference, filled with junk
         old_meta = {"format": old_format, "experiment": "manufactured", "alpha": 0.8,
@@ -646,6 +653,21 @@ class TestCache:
         served = run_sweep(plan, cache_dir=str(tmp_path / "old"))
         fresh = run_sweep(plan, cache_dir=str(tmp_path / "fresh"))
         assert served.rows == fresh.rows
+
+    def test_parent_format_pair_not_served(self, tmp_path, monkeypatch):
+        # format 7 kept an entry in two files: the payload in ref_<digest>.bin
+        # and the key with the payload's crc32 in ref_<digest>.meta; here the
+        # pair for this plan holds a finite junk payload with a valid checksum
+        monkeypatch.delenv(harness.CACHE_ENV_VAR)
+        plan = default_plan(**TINY_PLAN)
+        key = harness._cache_key(dict(harness._reference_meta(plan), format="7", T=1.0))
+        base = tmp_path / f"ref_{hashlib.sha256(key).hexdigest()[:24]}"
+        junk = np.full(16 * (2 * 15 + 3), 1e3)
+        junk.tofile(base.with_suffix(".bin"))
+        base.with_suffix(".meta").write_bytes(key + f"crc32={zlib.crc32(junk)}\n".encode())
+        cold = run_sweep(plan).to_csv_text()
+        assert run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text() == cold
+        assert len(list(tmp_path.iterdir())) == 3
 
 
 class TestClosedGates:
