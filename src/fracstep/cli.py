@@ -69,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     psweep.add_argument("--ref-nt", type=int, dest="ref_nt",
                         help="reference time steps")
     psweep.add_argument("--cache-dir", dest="cache_dir",
+                        default=os.environ.get("FRACSTEP_CACHE_DIR"),
                         help="reference cache directory "
                              "(default $FRACSTEP_CACHE_DIR)")
 

@@ -69,7 +69,8 @@ class TridiagonalMatrix:
         return float(x @ self.matvec(np.array(x, dtype=float)))
 
     def quadform_rows(self, rows: np.ndarray) -> np.ndarray:
-        """x^T A x for each row x of a (m, n) array."""
+        """x^T A x for each row x of a (m, n) array; no caller in the package,
+        kept only for the tests and the benchmark's tracer until ROADMAP item 1a."""
         out = np.einsum("ij,ij->i", rows, rows * self.diag)
         out += 2.0 * np.einsum("ij,ij->i", rows[:, :-1], rows[:, 1:] * self.off)
         return out

@@ -39,14 +39,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import assembly, fem1d, solver
-from .errors import CHUNK, DomainError, NestingError, SolverError
+from .errors import BUDGET, CHUNK, BudgetError, DomainError, NestingError, SolverError
 from .fracops import TemporalGrid, _ensure_order
 from .gammafn import gamma_fn
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
 
-CACHE_ENV_VAR = "FRACSTEP_CACHE_DIR"
 # Part of every reference-cache key.  Change it whenever the solver's results
 # or the entry layout change, so that entries written by earlier numerics or
 # in another layout are never served.  Format 8 stores the finest level's
@@ -642,12 +641,11 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
 
     The reference's moments on the finest level's time grid are cached on
     disk (keyed by experiment, alpha, data parameters, the reference's
-    resolutions and the finest level's step count) when a cache directory
-    is configured, either explicitly or through the ``FRACSTEP_CACHE_DIR``
-    environment variable.  Levels are solved finest first, so a sweep whose
-    finest level is over budget raises :class:`BudgetError` before any
-    level is solved; the rows keep the plan's order.  A level whose errors
-    are not finite raises :class:`SolverError`.
+    resolutions and the finest level's step count) under ``cache_dir``
+    only; ``None`` means no cache.  Levels are solved finest first, so a
+    sweep whose finest level is over budget raises :class:`BudgetError`
+    before any level is solved; the rows keep the plan's order.  A level
+    whose errors are not finite raises :class:`SolverError`.
     """
     start = time.perf_counter()
     spec = experiment_problem(plan.experiment, plan.alpha, **plan.params)
@@ -655,8 +653,6 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
         raise DomainError(f"experiment {plan.experiment!r} has no exact solution; "
                           "the sweep needs a reference level")
 
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
     max_gap = 0.0
     reference = None
     if plan.reference is not None:
@@ -721,7 +717,8 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
     ``nx``/``nt`` set the coarsest swept resolution on the refined axis and
     the fixed resolution on the other; ``count`` is the number of dyadic
     levels; ``params`` update the plan's own.  The acceptance-scale defaults
-    match the shipped order checks.
+    match the shipped order checks.  More levels than ``BUDGET`` has bits
+    raise :class:`BudgetError` before any level is built.
     """
     entry = EXPERIMENTS.get(experiment)
     if entry is None or axis not in entry.plans:
@@ -734,6 +731,8 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
     nx = cfg["nx"] if nx is None else nx
     nt = cfg["nt"] if nt is None else nt
     count = cfg["count"] if count is None else count
+    if count > BUDGET.bit_length():  # the finest level alone would exceed it
+        raise BudgetError(f"{count} dyadic levels exceed the budget of {BUDGET}")
     reference = cfg["reference"] if reference is None else reference
     return SweepPlan(
         experiment=experiment, alpha=alpha, axis=axis,

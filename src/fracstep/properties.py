@@ -394,11 +394,8 @@ def prop_time_factor_decay(rng) -> PropertyResult:
 
 def _source_value(spec, x, t) -> float:
     total = 0.0
-    for term in spec.sources:
-        if term.spatial_kind == assembly.SPATIAL_POWER:
-            spatial = x ** term.spatial_param
-        else:
-            spatial = math.sin(int(term.spatial_param) * math.pi * x)
+    for term in spec.sources:  # sine sources only, as the manufactured problem's
+        spatial = math.sin(int(term.spatial_param) * math.pi * x)
         total += term.scale * spatial * t ** term.temporal_exponent
     return total
 

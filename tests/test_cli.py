@@ -271,18 +271,52 @@ class TestSweep:
         assert out == "" and err.startswith("config error: cannot write output")
         assert not target.parent.exists()
 
-    @pytest.mark.parametrize("line", ["cache_dir=c\0d", "cache_dir="], ids=["nul", "empty"])
+    @pytest.mark.parametrize("line, env", [("cache_dir=c\0d", None), ("cache_dir=", None),
+                                           (None, "")], ids=["nul", "empty", "empty-env"])
     def test_unusable_cache_dir_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
-                                                     line):
+                                                     line, env):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the cache directory was checked")
 
         monkeypatch.setattr("fracstep.harness.run_sweep", no_sweep)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{line}\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *TINY_SWEEP)
+        monkeypatch.chdir(tmp_path)
+        config = ()
+        if line is not None:
+            pathlib.Path("run.cfg").write_text(f"{line}\n")
+            config = ("--config", "run.cfg")
+        if env is not None:
+            monkeypatch.setenv("FRACSTEP_CACHE_DIR", env)
+        before = sorted(os.listdir())
+        code, out, err = run_cli(capsys, "sweep", *config, *TINY_SWEEP)
         assert code == 2 and out == ""
         assert err.startswith("config error: cannot use the reference cache")
+        assert sorted(os.listdir()) == before
+
+    def test_cache_dir_defaults_to_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRACSTEP_CACHE_DIR", str(tmp_path / "env"))
+        assert run_cli(capsys, "sweep", *TINY_SWEEP)[0] == 0
+        assert [p.suffix for p in (tmp_path / "env").iterdir()] == [".bin"]
+
+    @pytest.mark.parametrize("source", ["flag", "config-line"])
+    def test_given_cache_dir_overrides_the_environment(self, tmp_path, capsys, monkeypatch,
+                                                       source):
+        monkeypatch.setenv("FRACSTEP_CACHE_DIR", str(tmp_path / "env"))
+        given = tmp_path / "given"
+        args = ("--cache-dir", str(given))
+        if source == "config-line":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"cache_dir={given}\n")
+            args = ("--config", str(cfg))
+        assert run_cli(capsys, "sweep", *args, *TINY_SWEEP)[0] == 0
+        assert [p.suffix for p in given.iterdir()] == [".bin"]
+        assert not (tmp_path / "env").exists()
+
+    def test_huge_level_count_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "manufactured", "--axis", "time",
+            "--nx", "4", "--nt", "4", "--levels", "30000")
+        assert code == 3 and out == ""
+        assert err == "error: 30000 dyadic levels exceed the budget of 16777216\n"
 
     def test_overflowing_data_exits_three(self, tmp_path, capsys):
         # at c = 1e160 the energy sums and squared errors overflow; the JSON

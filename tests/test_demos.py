@@ -1,7 +1,8 @@
 """Smoke test: the demos run to completion against the package in ``src``.
 
 Demos 01-03 take about a second or two each.  Demo 04 is left out: it takes
-about 5 s, and the acceptance sweeps already run the plans it prints.
+about 3 s, the acceptance sweeps already run the plans it prints, and the CI
+workflow runs it with a reference cache.
 """
 
 import os

@@ -122,6 +122,9 @@ def _nested_pair(num_fine, fine_cells, ratio_t, ratio_h, graded, seed):
 # steps against 16 cells x 64 steps
 TINY_PLAN = dict(experiment="experiment3", axis="time", alpha=0.8, nx=16, nt=4,
                  count=3, reference=(16, 64))
+# two space levels whose finest has the reference's 16 steps
+TINY_SPACE_PLAN = dict(experiment="experiment3", axis="space", alpha=0.8, nx=4, nt=16,
+                       count=2, reference=(16, 16))
 
 
 class TestSpaceTimeError:
@@ -586,8 +589,31 @@ class TestCache:
         assert "moment_steps=16" in lines
         assert lines[-1] == f"crc32={zlib.crc32(stored)}"
 
+    def test_space_entry_is_the_reference_field(self, tmp_path):
+        plan = default_plan(**TINY_SPACE_PLAN)
+        run_sweep(plan, cache_dir=str(tmp_path))
+        (entry,) = tmp_path.iterdir()
+        _, payload = _entry_parts(entry)
+        spec = experiment_problem(plan.experiment, plan.alpha)
+        field, _ = solver.solve(spec, TemporalGrid.uniform(16), fem1d.Mesh1D(16))
+        assert field.values.shape == (16, 15)
+        assert payload == np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+
+    def test_space_cold_warm_and_uncached_csvs_agree(self, tmp_path, monkeypatch):
+        plan = default_plan(**TINY_SPACE_PLAN)
+        uncached = run_sweep(plan).to_csv_text()
+        cold = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
+        steps = _counted_solve_steps(monkeypatch)
+        warm = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
+        assert len(steps) == 2  # the two levels; the reference was read, not solved
+        assert cold == warm == uncached
+
+    def test_sweep_reads_no_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACSTEP_CACHE_DIR", str(tmp_path))
+        run_sweep(default_plan(**TINY_PLAN))
+        assert list(tmp_path.iterdir()) == []
+
     def test_cold_warm_and_uncached_csvs_agree(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(harness.CACHE_ENV_VAR)
         plan = default_plan(**TINY_PLAN)
         uncached = run_sweep(plan).to_csv_text()
         cold = run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text()
@@ -597,7 +623,6 @@ class TestCache:
         assert cold == warm == uncached
 
     def test_other_finest_level_misses_and_recomputes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(harness.CACHE_ENV_VAR)
         plan = default_plan(**TINY_PLAN)
         run_sweep(plan, cache_dir=str(tmp_path))
         coarser = default_plan(**dict(TINY_PLAN, count=2))  # finest level 8 steps
@@ -654,11 +679,10 @@ class TestCache:
         fresh = run_sweep(plan, cache_dir=str(tmp_path / "fresh"))
         assert served.rows == fresh.rows
 
-    def test_parent_format_pair_not_served(self, tmp_path, monkeypatch):
+    def test_parent_format_pair_not_served(self, tmp_path):
         # format 7 kept an entry in two files: the payload in ref_<digest>.bin
         # and the key with the payload's crc32 in ref_<digest>.meta; here the
         # pair for this plan holds a finite junk payload with a valid checksum
-        monkeypatch.delenv(harness.CACHE_ENV_VAR)
         plan = default_plan(**TINY_PLAN)
         key = harness._cache_key(dict(harness._reference_meta(plan), format="7", T=1.0))
         base = tmp_path / f"ref_{hashlib.sha256(key).hexdigest()[:24]}"
@@ -746,3 +770,7 @@ class TestDefaultPlans:
     def test_unknown_combination(self):
         with pytest.raises(DomainError):
             default_plan("spectral_test", "space")
+
+    def test_too_many_levels_fail_before_any_is_built(self):
+        with pytest.raises(BudgetError, match="1000000 dyadic levels"):
+            default_plan("manufactured", "time", nx=4, nt=4, count=10 ** 6)
