@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fem1d, harness, solver
-from .errors import FracstepError
+from .errors import BUDGET, BudgetError, FracstepError
 from .fracops import TemporalGrid
 from .harness import format_float, is_power_of_two
 from .properties import DEFAULT_SEED, run_property_suite
@@ -142,6 +142,13 @@ def _check_output(path: str | None) -> None:
         raise ConfigError(f"cannot write output: {path!r} is not a writable file path")
 
 
+def _check_resolutions(args, names) -> None:
+    """Refuse a resolution above ``BUDGET`` (no solve takes it) by name, not by value."""
+    for name in names:
+        if (getattr(args, name) or 0) > BUDGET:
+            raise BudgetError(f"--{name.replace('_', '-')} exceeds the budget of {BUDGET}")
+
+
 def _write_output(args, csv_text: str, json_obj: dict) -> None:
     """Write the CSV text or the JSON object, as ``--format`` asks."""
     text = (csv_text if args.fmt == "csv"
@@ -167,6 +174,7 @@ def _run_solve(args) -> int:
         if default is None:
             _require(args, name)
     _check_output(args.output)
+    _check_resolutions(args, ("nx", "nt"))
     mesh = fem1d.Mesh1D(nx)
     grid = TemporalGrid.uniform(nt)
     spec = harness.experiment_problem(tag, alpha, **params)
@@ -221,6 +229,7 @@ def _run_sweep(args) -> int:
         if args.ref_nx is None or args.ref_nt is None:
             raise ConfigError("--ref-nx and --ref-nt must be given together")
         reference = (args.ref_nx, args.ref_nt)
+    _check_resolutions(args, ("nx", "nt", "ref_nx", "ref_nt"))
     plan = harness.default_plan(
         tag, args.axis, alpha=args.alpha, params=params,
         nx=args.nx, nt=args.nt, count=args.levels, reference=reference)

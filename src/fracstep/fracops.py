@@ -11,7 +11,7 @@ only in the independent oracle (:mod:`fracstep.quadrature`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,23 +142,21 @@ def _plus_power(x, mu: float) -> np.ndarray:
     return out
 
 
-def _four_corner(grid: TemporalGrid, order: float, rows=slice(None), cols=slice(None)):
-    """Block ``C[rows, cols]`` of four-corner differences of order ``order``.
+def _four_corner(grid: TemporalGrid, order: float) -> np.ndarray:
+    """The matrix ``C`` of four-corner differences of order ``order``.
 
     ``C[k, j] = ((t_{k+1}-t_j)_+^mu - (t_k-t_j)_+^mu - (t_{k+1}-t_{j+1})_+^mu
     + (t_k-t_{j+1})_+^mu) / Gamma(2 - order)`` with ``mu = 1 - order``, for
     0-based interval indices; every piecewise constant pairing in this
-    module is such a matrix.  Entries are computed one by one, so a block is
-    bitwise the same slice of the full matrix; those with ``j > k`` are exact
-    zeros.
+    module is such a matrix.  Each entry is computed on its own from its
+    four nodes, and those with ``j > k`` are exact zeros.
     """
     mu = 1.0 - order
-    upper = grid.nodes[1:]
-    lower = grid.nodes[:-1]
-    a = _plus_power(upper[rows, None] - lower[None, cols], mu)
-    b = _plus_power(lower[rows, None] - lower[None, cols], mu)
-    c = _plus_power(upper[rows, None] - upper[None, cols], mu)
-    d = _plus_power(lower[rows, None] - upper[None, cols], mu)
+    upper, lower = grid.nodes[1:], grid.nodes[:-1]
+    a = _plus_power(upper[:, None] - lower, mu)
+    b = _plus_power(lower[:, None] - lower, mu)
+    c = _plus_power(upper[:, None] - upper, mu)
+    d = _plus_power(lower[:, None] - upper, mu)
     return (a - b - c + d) / gamma_fn(2.0 - order)
 
 
@@ -168,17 +166,15 @@ class TemporalWeightMatrix:
 
     Entry ``(k, j)`` is the integral over interval ``k`` of the order-alpha
     derivative of the indicator of interval ``j``; it vanishes for ``j > k``
-    and depends only on the lag ``k - j``, so the matrix holds its Toeplitz
-    kernel, one value per lag, and no J x J array.
+    and depends only on the lag ``k - j``, so the matrix is its Toeplitz
+    kernel, one value per lag and one lag per step, and no J x J array.
     """
 
-    grid: TemporalGrid
-    alpha: float
-    _kernel: np.ndarray = field(repr=False)
+    _kernel: np.ndarray
 
     @property
     def num_steps(self) -> int:
-        return self.grid.num_steps
+        return self._kernel.size
 
     def block(self, rows: slice, cols: slice) -> np.ndarray:
         """The dense block ``G[rows, cols]``, zero above the diagonal, gathered
@@ -236,7 +232,8 @@ def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     The grid must be uniform: a nonuniform one raises :class:`DomainError`
     before anything is computed.  The Toeplitz kernel is the four-corner
     formula of :func:`_four_corner` at lag ``d = k - j``, ``tau^mu ((d+1)^mu
-    - 2 d^mu + (d-1)_+^mu) / Gamma(2 - alpha)`` with ``mu = 1 - alpha``.
+    - 2 d^mu + (d-1)_+^mu) / Gamma(2 - alpha)`` with ``mu = 1 - alpha``,
+    for ``d = 0, ..., J - 1``; the matrix holds that kernel and nothing else.
     """
     alpha = _ensure_order(alpha, 0, 1, "alpha")
     if not grid.is_uniform():
@@ -246,7 +243,7 @@ def temporal_weights(grid: TemporalGrid, alpha: float) -> TemporalWeightMatrix:
     d = np.arange(grid.num_steps, dtype=float)
     kernel = (_plus_power(d + 1.0, mu) - 2.0 * _plus_power(d, mu)
               + _plus_power(d - 1.0, mu)) * tau ** mu / gamma_fn(2.0 - alpha)
-    return TemporalWeightMatrix(grid, alpha, kernel)
+    return TemporalWeightMatrix(kernel)
 
 
 def _pwc_pairing(grid: TemporalGrid, values, order: float) -> float:

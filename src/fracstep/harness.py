@@ -48,9 +48,9 @@ AXIS_TIME = "time"
 
 # Part of every reference-cache key.  Change it whenever the solver's results
 # or the entry layout change, so that entries written by earlier numerics or
-# in another layout are never served.  Format 8 stores the finest level's
-# moments (see :func:`_reference_moments`) after the key and a crc32 line.
-_CACHE_FORMAT = "8"
+# in another layout are never served.  Format 9 stores the finest level's
+# moments, without format 8's interval weights, after the key and a crc32 line.
+_CACHE_FORMAT = "9"
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +363,11 @@ def expected_orders(alpha: float, beta: float, case: str) -> dict:
 class BlockMoments:
     """A fine field on a nested coarser time grid: block means and scatters.
 
-    Interval ``K`` of ``grid`` covers fine rows ``f_k`` on ``mesh`` with
-    weights ``tau_k``: ``weights[K] = T_K = sum_k tau_k``; ``means[K] +
-    lows[K]`` is their weighted mean ``m_K``, the naive mean plus the mean
-    of the deviations from it, kept apart so that rounding does not lose
-    it; ``mass[K]`` and ``stiff[K]`` are ``sum_k tau_k Q(f_k - m_K)`` for
+    Interval ``K`` of ``grid``, of length ``T_K = grid.tau[K]``, covers fine
+    rows ``f_k`` on ``mesh`` with weights ``tau_k``; ``means[K] + lows[K]``
+    is their weighted mean ``m_K``, the naive mean plus the mean of the
+    deviations from it, kept apart so that rounding does not lose it;
+    ``mass[K]`` and ``stiff[K]`` are ``sum_k tau_k Q(f_k - m_K)`` for
     ``Q = s0 - g / 6`` and ``Q = g`` (band sums of :func:`fem1d.band_sums`;
     the P1 mass and stiffness forms without ``h`` and ``1 / h``).  A field
     is its own ratio-1 moments (:meth:`of_values`): no lows, zero scatter.
@@ -375,7 +375,6 @@ class BlockMoments:
 
     grid: TemporalGrid
     mesh: fem1d.Mesh1D
-    weights: np.ndarray
     means: np.ndarray
     lows: np.ndarray | None
     mass: np.ndarray
@@ -385,19 +384,18 @@ class BlockMoments:
     def of_values(cls, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                   values: np.ndarray) -> "BlockMoments":
         zero = np.broadcast_to(0.0, (grid.num_steps,))  # no per-row storage
-        return cls(grid, mesh, grid.tau, values, None, zero, zero)
+        return cls(grid, mesh, values, None, zero, zero)
 
     def payload(self) -> np.ndarray:
         """The moments as one flat array, the layout of a cache entry.
 
-        Ratio-1 moments are their field's rows; others are ``weights``,
-        ``means``, ``lows``, ``mass`` and ``stiff`` in turn, ``J (2 n + 3)``
-        values for ``J`` intervals and ``n`` interior nodes.
+        Ratio-1 moments are their field's rows; others are ``means``,
+        ``lows``, ``mass`` and ``stiff`` in turn, ``J (2 n + 2)`` values for
+        ``J`` intervals and ``n`` interior nodes.
         """
         if self.lows is None:
             return self.means.ravel()
-        return np.concatenate([self.weights, self.means.ravel(), self.lows.ravel(),
-                               self.mass, self.stiff])
+        return np.concatenate([self.means.ravel(), self.lows.ravel(), self.mass, self.stiff])
 
     @classmethod
     def from_payload(cls, grid: TemporalGrid, mesh: fem1d.Mesh1D,
@@ -406,10 +404,8 @@ class BlockMoments:
         steps, n = grid.num_steps, mesh.n_interior
         if payload.size == steps * n:
             return cls.of_values(grid, mesh, payload.reshape(steps, n))
-        weights, means, lows, mass, stiff = np.split(
-            payload, np.cumsum([steps, steps * n, steps * n, steps]))
-        return cls(grid, mesh, weights, means.reshape(steps, n), lows.reshape(steps, n),
-                   mass, stiff)
+        means, lows, mass, stiff = np.split(payload, np.cumsum([steps * n, steps * n, steps]))
+        return cls(grid, mesh, means.reshape(steps, n), lows.reshape(steps, n), mass, stiff)
 
     def ratio(self, grid: TemporalGrid) -> int:
         """Intervals of these moments per interval of the nested ``grid``."""
@@ -435,8 +431,8 @@ class BlockMoments:
         if ratio == 1:
             return self
         num_coarse, n = grid.num_steps, self.mesh.n_interior
-        weights = self.weights.reshape(num_coarse, ratio)
-        totals = weights.sum(axis=1)
+        weights = self.grid.tau.reshape(num_coarse, ratio)
+        totals = grid.tau
         means = np.matmul(weights[:, None, :], self.means.reshape(num_coarse, ratio, n))[:, 0]
         means /= totals[:, None]
         lows = np.zeros((num_coarse, n))
@@ -446,14 +442,14 @@ class BlockMoments:
                                 np.empty((num_coarse, n + 1)))
         mass -= totals * (s0 - g / 6.0)
         stiff -= totals * g
-        return BlockMoments(grid, self.mesh, totals, means, lows, mass, stiff)
+        return BlockMoments(grid, self.mesh, means, lows, mass, stiff)
 
 
 def _block_forms(moments: BlockMoments, num_coarse: int, centers,
                  lows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per coarse interval K, both forms of ``sum_i T_i Q(m_i - c_K) + W_i``.
 
-    ``i`` runs over the moments' intervals in K (weights ``T_i``, means
+    ``i`` runs over the moments' intervals in K (lengths ``T_i``, means
     ``m_i`` with their lows, scatter ``W_i``); ``centers(block)`` returns
     the centers ``c_K`` of the coarse intervals in the slice ``block``.
     Given ``lows``, ``sum_i T_i (m_i - c_K)`` is added into its rows; the
@@ -468,7 +464,7 @@ def _block_forms(moments: BlockMoments, num_coarse: int, centers,
     rows = max(1, CHUNK // (sub * (n + 2)))
     padded = np.zeros((rows, sub, n + 2))
     diffs = np.empty((rows, sub, n + 1))
-    weights = moments.weights.reshape(num_coarse, ratio)
+    weights = moments.grid.tau.reshape(num_coarse, ratio)
     values = moments.means.reshape(num_coarse, ratio, n)
     if moments.lows is not None:
         fine_lows = moments.lows.reshape(num_coarse, ratio, n)
@@ -622,8 +618,7 @@ def _reference_moments(plan: SweepPlan, spec, cache_dir: str | None):
     ref_nx, ref_nt = plan.reference
     finest = max(nt for _, nt in plan.levels)
     grid, mesh = TemporalGrid.uniform(finest), fem1d.Mesh1D(ref_nx)
-    n = mesh.n_interior
-    size = finest * (n if finest == ref_nt else 2 * n + 3)
+    size = finest * (mesh.n_interior if finest == ref_nt else 2 * mesh.n_interior + 2)
     meta = _reference_meta(plan)
     if cache_dir is not None:
         payload = load_cached_reference(cache_dir, meta, (size,))

@@ -259,7 +259,14 @@ def test_criterion_6_experiment3_desk_scale(experiment3_tables):
                f"against band [0.69, 0.87] in {elapsed:.0f}s")
 
 
-def test_criterion_7_sweep_determinism(tmp_path):
+# a space sweep caches the reference field; a time sweep its block moments
+@pytest.mark.parametrize("axis_args", [
+    ("--axis", "space", "--nx", "4", "--levels", "2", "--nt", "16",
+     "--ref-nx", "32", "--ref-nt", "16"),
+    ("--axis", "time", "--nx", "4", "--nt", "4", "--levels", "2",
+     "--ref-nx", "4", "--ref-nt", "16"),
+], ids=["space", "time"])
+def test_criterion_7_sweep_determinism(tmp_path, axis_args):
     env = dict(os.environ)
     env["FRACSTEP_CACHE_DIR"] = str(tmp_path / "cache")
     # the child imports the package this process imported
@@ -267,8 +274,7 @@ def test_criterion_7_sweep_determinism(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     args = [sys.executable, "-m", "fracstep", "sweep", "--experiment", "exp1",
-            "--alpha", "0.3", "--r", "-0.5", "--axis", "space", "--nx", "4",
-            "--levels", "2", "--nt", "16", "--ref-nx", "32", "--ref-nt", "16"]
+            "--alpha", "0.3", "--r", "-0.5", *axis_args]
     outputs = []
     for name in ("first.csv", "second.csv", "third.csv"):
         path = tmp_path / name
@@ -277,9 +283,10 @@ def test_criterion_7_sweep_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     # cold cache, warm cache and warm-again runs are byte-identical
+    assert len(list((tmp_path / "cache").iterdir())) == 1
     assert outputs[0] == outputs[1] == outputs[2]
-    _report(7, f"three sweep invocations produced byte-identical CSV "
-               f"({len(outputs[0])} bytes)")
+    _report(7, f"three {axis_args[1]} sweep invocations produced byte-identical "
+               f"CSV ({len(outputs[0])} bytes)")
 
 
 def test_criterion_8_energy_identity_everywhere(manufactured_tables,

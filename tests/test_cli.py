@@ -9,12 +9,16 @@ import warnings
 import pytest
 
 from fracstep.cli import main
+from fracstep.errors import BUDGET
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
 
 
 # an exp3 time sweep of two levels against a 16x16 reference, a few ms per run
 TINY_SWEEP = ("--experiment", "exp3", "--axis", "time", "--nx", "16", "--nt", "4",
               "--levels", "2", "--ref-nx", "16", "--ref-nt", "16")
+# a resolution far above the budget: 2^14280, 4299 digits, just under the
+# 4300-digit limit of int()
+HUGE = str(2 ** 14280)
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +174,15 @@ class TestSolve:
         assert code == 3
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("flag", ["--nx", "--nt"])
+    def test_huge_resolution_is_named_not_printed(self, capsys, flag):
+        # the later flag wins; its 4299 digits stay out of the message
+        code, out, err = run_cli(
+            capsys, "solve", "--experiment", "exp3", "--alpha", "0.5",
+            "--nx", "4", "--nt", "4", flag, HUGE)
+        assert code == 3 and out == ""
+        assert err == f"error: {flag} exceeds the budget of {BUDGET}\n"
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):
@@ -317,6 +330,18 @@ class TestSweep:
             "--nx", "4", "--nt", "4", "--levels", "30000")
         assert code == 3 and out == ""
         assert err == "error: 30000 dyadic levels exceed the budget of 16777216\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--nx", HUGE), ("--nt", HUGE),
+        ("--ref-nx", HUGE, "--ref-nt", "64"), ("--ref-nx", "64", "--ref-nt", HUGE),
+    ], ids=["nx", "nt", "ref-nx", "ref-nt"])
+    def test_huge_resolution_is_named_not_printed(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "sweep", "--experiment", "manufactured", "--axis", "space",
+            "--nt", "4", "--levels", "25", *flags)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 100
+        assert "budget" in err
 
     def test_overflowing_data_exits_three(self, tmp_path, capsys):
         # at c = 1e160 the energy sums and squared errors overflow; the JSON

@@ -569,21 +569,21 @@ class TestCache:
         assert first.rows[0]["E2"] == second.rows[0]["E2"]
 
     def test_entry_holds_the_finest_moments(self, tmp_path):
-        # finest level 16 steps, 15 interior nodes: weights, means, lows,
-        # mass and stiff are 16 * (2 * 15 + 3) values
+        # finest level 16 steps, 15 interior nodes: means, lows, mass and
+        # stiff are 16 * (2 * 15 + 2) values; the weights are the grid's steps
         plan = default_plan(**TINY_PLAN)
         run_sweep(plan, cache_dir=str(tmp_path))
         (entry,) = tmp_path.iterdir()
         header, payload = _entry_parts(entry)
         stored = np.frombuffer(payload, dtype="<f8")
-        assert stored.size == 16 * (2 * 15 + 3)
+        assert stored.size == 16 * (2 * 15 + 2)
         spec = experiment_problem(plan.experiment, plan.alpha)
         field, _ = solver.solve(spec, TemporalGrid.uniform(64), fem1d.Mesh1D(16))
         expected = BlockMoments.of_values(field.grid, field.mesh, field.values).coarsen(
             TemporalGrid.uniform(16))
-        parts = np.split(stored, np.cumsum([16, 16 * 15, 16 * 15, 16]))
-        for part, array in zip(parts, (expected.weights, expected.means, expected.lows,
-                                       expected.mass, expected.stiff)):
+        parts = np.split(stored, np.cumsum([16 * 15, 16 * 15, 16]))
+        for part, array in zip(parts, (expected.means, expected.lows, expected.mass,
+                                       expected.stiff)):
             assert np.array_equal(part, array.ravel())
         lines = header.decode().splitlines()
         assert "moment_steps=16" in lines
@@ -679,7 +679,7 @@ class TestCache:
         fresh = run_sweep(plan, cache_dir=str(tmp_path / "fresh"))
         assert served.rows == fresh.rows
 
-    def test_parent_format_pair_not_served(self, tmp_path):
+    def test_format_7_pair_not_served(self, tmp_path):
         # format 7 kept an entry in two files: the payload in ref_<digest>.bin
         # and the key with the payload's crc32 in ref_<digest>.meta; here the
         # pair for this plan holds a finite junk payload with a valid checksum
@@ -692,6 +692,19 @@ class TestCache:
         cold = run_sweep(plan).to_csv_text()
         assert run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text() == cold
         assert len(list(tmp_path.iterdir())) == 3
+
+    def test_format_8_entry_not_served(self, tmp_path):
+        # format 8 stored the interval weights ahead of the moments, 16 * (2 *
+        # 15 + 3) values; here this plan's entry in that layout holds finite
+        # junk with a valid checksum
+        plan = default_plan(**TINY_PLAN)
+        old_meta = dict(harness._reference_meta(plan), format="8")
+        store_reference(str(tmp_path), old_meta, np.full(16 * (2 * 15 + 3), 1e3))
+        (old_entry,) = tmp_path.iterdir()
+        uncached = run_sweep(plan).to_csv_text()
+        assert run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text() == uncached
+        (new_entry,) = set(tmp_path.iterdir()) - {old_entry}
+        assert "format=9" in _entry_parts(new_entry)[0].decode().splitlines()
 
 
 class TestClosedGates:
