@@ -148,16 +148,13 @@ def _four_corner(grid: TemporalGrid, order: float) -> np.ndarray:
     ``C[k, j] = ((t_{k+1}-t_j)_+^mu - (t_k-t_j)_+^mu - (t_{k+1}-t_{j+1})_+^mu
     + (t_k-t_{j+1})_+^mu) / Gamma(2 - order)`` with ``mu = 1 - order``, for
     0-based interval indices; every piecewise constant pairing in this
-    module is such a matrix.  Each entry is computed on its own from its
-    four nodes, and those with ``j > k`` are exact zeros.
+    module is such a matrix.  The four corners are slices of one table of
+    powers of node differences, so each entry is still computed on its own
+    from its four nodes, and those with ``j > k`` are exact zeros.
     """
-    mu = 1.0 - order
-    upper, lower = grid.nodes[1:], grid.nodes[:-1]
-    a = _plus_power(upper[:, None] - lower, mu)
-    b = _plus_power(lower[:, None] - lower, mu)
-    c = _plus_power(upper[:, None] - upper, mu)
-    d = _plus_power(lower[:, None] - upper, mu)
-    return (a - b - c + d) / gamma_fn(2.0 - order)
+    nodes = grid.nodes
+    p = _plus_power(nodes[:, None] - nodes, 1.0 - order)
+    return (p[1:, :-1] - p[:-1, :-1] - p[1:, 1:] + p[:-1, 1:]) / gamma_fn(2.0 - order)
 
 
 @dataclass(frozen=True)

@@ -637,16 +637,22 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     The reference's moments on the finest level's time grid are cached on
     disk (keyed by experiment, alpha, data parameters, the reference's
     resolutions and the finest level's step count) under ``cache_dir``
-    only; ``None`` means no cache.  Levels are solved finest first, so a
-    sweep whose finest level is over budget raises :class:`BudgetError`
-    before any level is solved; the rows keep the plan's order.  A level
-    whose errors are not finite raises :class:`SolverError`.
+    only; ``None`` means no cache.  The reference and every level are
+    checked against the budget first, so an oversized one raises
+    :class:`BudgetError` before any grid is built, the cache is read or a
+    level is solved.  Levels are solved finest first; the rows keep the
+    plan's order.  A level whose errors are not finite raises
+    :class:`SolverError`.
     """
     start = time.perf_counter()
     spec = experiment_problem(plan.experiment, plan.alpha, **plan.params)
     if plan.reference is None and spec.exact is None:
         raise DomainError(f"experiment {plan.experiment!r} has no exact solution; "
                           "the sweep needs a reference level")
+
+    sizes = plan.levels if plan.reference is None else (plan.reference, *plan.levels)
+    for n_cells, num_steps in sizes:
+        solver.check_budget(n_cells, num_steps)
 
     max_gap = 0.0
     reference = None

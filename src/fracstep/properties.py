@@ -5,10 +5,12 @@ fixed seed reproduces the identical report.  Closed-form identities are held
 to 1e-12 relative; comparisons against the quadrature oracle to 1e-9 (the
 oracle itself runs at 1e-10).  The oracle route never touches the package's
 gamma evaluation, which is what lets the suite detect a corrupted constant.
-The two properties that call the oracle, the coercivity pairing and the
-closed forms against the oracle, each build their own table of Gauss-Jacobi
-rules and drop it on return, so a rule is computed once per property call
-and never carried over to another call or another suite run.  The two-sided
+Two properties call the oracle.  The coercivity pairing integrates only
+bare Jacobi weights, which the oracle returns as scipy Beta values with no
+rule built.  The closed forms against the oracle need rules for their smooth
+four-corner pieces; that property builds its own table of Gauss-Jacobi rules
+and drops it on return, so a rule is computed once per property call and
+never carried over to another call or another suite run.  The two-sided
 bound computes no rule: its norm has a closed form in scipy's ``hyp2f1``.
 """
 
@@ -114,7 +116,7 @@ def prop_duality(rng) -> PropertyResult:
     return _result("integral-duality", worst, CLOSED_FORM_TOL, "100 draws")
 
 
-def _pairing_by_quadrature(grid, values, gamma, rules) -> float:
+def _pairing_by_quadrature(grid, values, gamma) -> float:
     """Left/right derivative pairing integrated by the oracle, term by term."""
     nodes = grid.nodes
     norm = scipy_gamma(1.0 - gamma) ** 2
@@ -128,8 +130,7 @@ def _pairing_by_quadrature(grid, values, gamma, rules) -> float:
             for a, sign_a in ((nodes[j], 1.0), (nodes[j + 1], -1.0)):
                 for b, sign_b in ((nodes[k + 1], 1.0), (nodes[k], -1.0)):
                     if b > a:
-                        piece = singular_integral(a, b, p=-gamma, q=-gamma,
-                                                  rules=rules)
+                        piece = singular_integral(a, b, p=-gamma, q=-gamma)
                         total += vjk * sign_a * sign_b * piece
     return total / norm
 
@@ -139,7 +140,6 @@ def prop_coercivity(rng) -> PropertyResult:
     and its closed form agrees with the quadrature oracle."""
     min_ratio = math.inf
     worst = 0.0
-    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for i in range(100):
         gamma = rng.uniform(0.05, 0.45)
         grid = _random_grid(rng, max_intervals=6)
@@ -150,7 +150,7 @@ def prop_coercivity(rng) -> PropertyResult:
         scale = float(np.max(np.abs(values)) ** 2)
         min_ratio = min(min_ratio, pairing / scale)
         if i < 5:
-            oracle = _pairing_by_quadrature(grid, values, gamma, rules)
+            oracle = _pairing_by_quadrature(grid, values, gamma)
             worst = max(worst, abs(pairing - oracle) / max(abs(oracle), 1e-300))
     ok = min_ratio > 0.0 and worst <= ORACLE_TOL
     detail = (f"min pairing/|v|_inf^2 = {min_ratio:.3e} over 100 draws, "
@@ -243,8 +243,7 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
         t = rng.uniform(0.3, 2.0)
         p = PowerFunction(1.0, sigma)
         closed = fracops.integral_power_function(p, gamma)(t)
-        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0,
-                                   rules=rules) / scipy_gamma(gamma)
+        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0) / scipy_gamma(gamma)
         worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
 
         # derivative route: quadrature of the lifted integral, then numeric
@@ -254,12 +253,11 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
         dsigma = rng.uniform(dgamma - 0.8, 2.0)
         dt = rng.uniform(0.5, 2.0)
 
-        # the integrand is the bare Jacobi weight, which a Gauss rule of any
-        # order integrates exactly: scipy scales every rule so that its
-        # weights sum to 2^(a+b+1) B(a+1, b+1), the one-point weight
+        # the integrand is the bare Jacobi weight, whose integral the oracle
+        # returns as a scipy Beta value, with no noise to difference
         def lifted(s, dsigma=dsigma, dgamma=dgamma):
-            return fixed_order_integral(0.0, s, p=dsigma, q=-dgamma, order=1,
-                                        rules=rules) / scipy_gamma(1.0 - dgamma)
+            return (fixed_order_integral(0.0, s, p=dsigma, q=-dgamma)
+                    / scipy_gamma(1.0 - dgamma))
 
         dclosed = fracops.derivative_power_function(PowerFunction(1.0, dsigma), dgamma)(dt)
         doracle = _numeric_derivative(lifted, dt)
@@ -276,8 +274,7 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
                 lo = max(a, nodes[k])
                 if nodes[k + 1] > a:
                     if lo == a:
-                        piece = singular_integral(a, nodes[k + 1], p=-alpha,
-                                                  rules=rules)
+                        piece = singular_integral(a, nodes[k + 1], p=-alpha)
                     else:
                         piece = singular_integral(
                             lo, nodes[k + 1],

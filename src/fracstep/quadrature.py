@@ -8,18 +8,24 @@ integrals of the form
 are computed with Gauss-Jacobi rules of increasing order until two
 consecutive estimates agree to a relative tolerance.  The default tolerance
 1e-10 sits one order below the 1e-9 acceptance threshold for the closed
-forms, so oracle error never masks a kernel bug.
+forms, so oracle error never masks a kernel bug.  With no smooth factor the
+integrand is the bare Jacobi weight, whose integral is a Beta value; both
+integrators return it directly and build no rule.  It is formed as
+:func:`scipy.special.roots_jacobi` forms the sum it scales its weights to
+(Golub and Welsch, Math. Comp. 23, 1969), so every rule of that weight gives
+it to rounding.
 
-This module is intentionally independent of :mod:`fracstep.gammafn`: nodes
-and weights come from scipy, giving the dual evaluation route the property
-checks rely on.
+This module is intentionally independent of :mod:`fracstep.gammafn`: nodes,
+weights and the Beta values come from scipy, giving the dual evaluation
+route the property checks rely on.
 
 Both integrators take the rule source as a keyword ``rules``, a callable
-with the signature of :func:`scipy.special.roots_jacobi` (the default).  A
-caller that evaluates many integrals with the same exponents can pass a
-table of rules, e.g. ``functools.lru_cache(maxsize=None)(roots_jacobi)``, so
-that each ``(n, alpha, beta)`` is computed once; the integrators never write
-into the returned arrays, so a table may hand the same ones out again.  A
+with the signature of :func:`scipy.special.roots_jacobi` (the default),
+consulted only when there is a smooth factor.  A caller that evaluates many
+integrals with the same exponents can pass a table of rules, e.g.
+``functools.lru_cache(maxsize=None)(roots_jacobi)``, so that each ``(n,
+alpha, beta)`` is computed once; the integrators never write into the
+returned arrays, so a table may hand the same ones out again.  A
 table belongs to one caller and lives only as long as that caller's work
 (one property of the suite, say): a process-wide table would grow without
 bound and would make a repeated run look faster than any single run is.
@@ -29,7 +35,7 @@ import math
 import numbers
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import beta, betaln, roots_jacobi
 
 from .errors import DomainError, QuadratureError
 
@@ -51,12 +57,31 @@ def _check_interval(a, b, p, q):
     return a, b
 
 
-def _finite(estimate: float, n: int, a: float, b: float) -> float:
-    """``estimate``, or ``QuadratureError`` if the order-``n`` rule gave no finite value."""
+def _finite(estimate: float, n: int | None, a: float, b: float) -> float:
+    """``estimate``, or ``QuadratureError`` if the order-``n`` rule (``None``:
+    the bare weight's integral) gave no finite value."""
+    if n is None and not math.isfinite(estimate):
+        raise QuadratureError(f"estimate is {estimate} on ({a}, {b}): the weight's "
+                              "integral is not finite")
     if not math.isfinite(estimate):
         raise QuadratureError(f"estimate is {estimate} at order {n} on ({a}, {b}): the "
                               "integrand is not finite at a node")
     return estimate
+
+
+def _weight_integral(a: float, b: float, p: float, q: float) -> float:
+    """``int_a^b (t-a)^p (b-t)^q dt``, the bare weight's integral.
+
+    ``half^(p+q+1) mu0`` with ``mu0 = 2^(p+q+1) B(p+1, q+1)``, the integral
+    of ``(1-x)^q (1+x)^p`` over ``(-1, 1)``, formed as ``roots_jacobi`` forms
+    it: through ``betaln`` once ``p + q`` exceeds 1000, where ``2^(p+q+1)``
+    and ``B`` would overflow and underflow.
+    """
+    if p + q <= 1000.0:
+        mu0 = 2.0 ** (p + q + 1.0) * float(beta(q + 1.0, p + 1.0))
+    else:
+        mu0 = float(np.exp((p + q + 1.0) * np.log(2.0) + betaln(q + 1.0, p + 1.0)))
+    return _finite((0.5 * (b - a)) ** (p + q + 1.0) * mu0, None, a, b)
 
 
 def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
@@ -75,8 +100,9 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
     p, q : float
         Endpoint exponents at ``a`` and ``b``; both finite and above -1.
     smooth : callable, optional
-        Vectorized factor evaluated at the quadrature nodes.  Defaults to 1.
-        It must be smooth on ``[a, b]``; endpoint singularities belong in
+        Vectorized factor evaluated at the quadrature nodes.  Without one
+        the integral is the weight's own, returned with no rule built.  It
+        must be smooth on ``[a, b]``; endpoint singularities belong in
         ``p``/``q``.
     atol : float
         Absolute agreement floor, finite and nonnegative; needed when the
@@ -84,7 +110,8 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
         terminates on noise).
     rules : callable
         ``rules(n, alpha, beta)`` returns the nodes and weights of the
-        ``n``-point Gauss-Jacobi rule, as :func:`scipy.special.roots_jacobi`.
+        ``n``-point Gauss-Jacobi rule, as :func:`scipy.special.roots_jacobi`;
+        consulted only with a ``smooth`` factor.
 
     Returns
     -------
@@ -93,6 +120,8 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
     a, b = _check_interval(a, b, p, q)
     if not (math.isfinite(atol) and atol >= 0.0):
         raise DomainError(f"atol must be finite and nonnegative, got {atol}")
+    if smooth is None:
+        return _weight_integral(a, b, p, q)
 
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -103,8 +132,7 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
     while n <= _MAX_ORDER:
         # roots_jacobi weight is (1-x)^alpha (1+x)^beta; t-a maps to (1+x)
         x, w = rules(n, q, p)
-        t = mid + half * x
-        vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
+        vals = w * np.asarray(smooth(mid + half * x), dtype=float)
         estimate = _finite(scale * float(np.sum(vals)), n, a, b)
         if previous is not None:
             tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
@@ -127,13 +155,15 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
 
     A Gauss-Jacobi rule integrates its bare weight exactly at every order
     (its weights sum to the weight's integral), so ``order`` matters only
-    with a ``smooth`` factor: without one, ``order=1`` is exact.
+    with a ``smooth`` factor: without one, the weight's integral is
+    returned, as in :func:`singular_integral`, and no rule is built.
     """
     a, b = _check_interval(a, b, p, q)
     if not isinstance(order, numbers.Integral) or order < 1:
         raise DomainError(f"order must be a positive integer, got {order!r}")
+    if smooth is None:
+        return _weight_integral(a, b, p, q)
     half = 0.5 * (b - a)
     x, w = rules(order, q, p)
-    t = 0.5 * (a + b) + half * x
-    vals = w if smooth is None else w * np.asarray(smooth(t), dtype=float)
+    vals = w * np.asarray(smooth(0.5 * (a + b) + half * x), dtype=float)
     return _finite(half ** (p + q + 1.0) * float(np.sum(vals)), order, a, b)

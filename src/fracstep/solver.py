@@ -93,6 +93,14 @@ def _causal_blocks(lo: int, hi: int):
     yield from _causal_blocks(mid, hi)
 
 
+def check_budget(n_cells: int, num_steps: int) -> None:
+    """:class:`BudgetError` if a solve of ``n_cells`` cells and ``num_steps``
+    steps would exceed ``BUDGET`` space-time unknowns."""
+    if n_cells * num_steps > BUDGET:
+        raise BudgetError(f"solve ({n_cells} cells, {num_steps} steps) "
+                          f"exceeds the budget of {BUDGET} space-time unknowns")
+
+
 def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
           loads: np.ndarray | None = None):
     """March the space-time system on a uniform grid; returns the field and a report.
@@ -106,9 +114,7 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     reported as a relative gap.  A residual or an energy gap that is not
     finite raises :class:`SolverError`.
     """
-    if mesh.n_cells * grid.num_steps > BUDGET:
-        raise BudgetError(f"solve ({mesh.n_cells} cells, {grid.num_steps} steps) "
-                          f"exceeds the budget of {BUDGET} space-time unknowns")
+    check_budget(mesh.n_cells, grid.num_steps)
     start = time.perf_counter()
     weights = temporal_weights(grid, spec.alpha)
     J, N = grid.num_steps, mesh.n_interior

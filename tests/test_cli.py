@@ -4,6 +4,7 @@ import pathlib
 import random
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -323,6 +324,29 @@ class TestSweep:
         assert run_cli(capsys, "sweep", *args, *TINY_SWEEP)[0] == 0
         assert [p.suffix for p in given.iterdir()] == [".bin"]
         assert not (tmp_path / "env").exists()
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_over_budget_reference_exits_three_before_allocating(
+            self, tmp_path, capsys, monkeypatch, cached):
+        # each flag is within the budget, the reference's product is not; a
+        # cache lookup once sized a 2 PiB read buffer before the solve's check
+        monkeypatch.delenv("FRACSTEP_CACHE_DIR")
+        cache = tmp_path / "cache"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "sweep", "--experiment", "manufactured", "--axis", "time",
+                "--nx", "4", "--nt", "8388608", "--levels", "1",
+                "--ref-nx", "16777216", "--ref-nt", "16777216",
+                *(("--cache-dir", str(cache)) if cached else ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == (f"error: solve (16777216 cells, 16777216 steps) exceeds the "
+                       f"budget of {BUDGET} space-time unknowns\n")
+        assert peak < 1 << 20, peak  # the finest level's grid alone is 64 MiB
+        assert not cache.exists() or not any(cache.iterdir())
 
     def test_huge_level_count_exits_three(self, capsys):
         code, out, err = run_cli(

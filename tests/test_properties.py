@@ -47,7 +47,11 @@ def test_suite_passes_seeds_with_cancelling_duality_draws(seed):
 
 @pytest.fixture
 def rule_spy(monkeypatch):
-    """Record, per property, every Gauss-Jacobi rule the suite computes."""
+    """Record, per property, every Gauss-Jacobi rule the suite computes.
+
+    Rules come from a property's table or, where a property passes none,
+    from the integrators' default; both routes go through the spy.
+    """
     computed = {}
     current = [None]
 
@@ -62,7 +66,12 @@ def rule_spy(monkeypatch):
             return prop(rng)
         return run
 
+    def spied(integrate):
+        return functools.partial(integrate, rules=spy)  # a table passed in wins
+
     monkeypatch.setattr(properties, "roots_jacobi", spy)
+    for name in ("singular_integral", "fixed_order_integral"):
+        monkeypatch.setattr(properties, name, spied(getattr(properties, name)))
     monkeypatch.setattr(properties, "_SUITE",
                         tuple(labelled(prop) for prop in properties._SUITE))
     return computed
@@ -90,7 +99,7 @@ def test_second_suite_run_computes_as_many_rules(rule_spy):
 
 def test_no_rule_above_order_32(rule_spy):
     # a cost guard that counts instead of timing: the adaptive loops stop by
-    # order 32 on the default seed, and a bare weight needs only one point
+    # order 32 on the default seed, and a bare weight needs no rule at all
     run_property_suite()
     orders = {name: max(n for n, _, _ in keys) for name, keys in rule_spy.items()}
     assert max(orders.values()) <= 32, orders
@@ -98,11 +107,11 @@ def test_no_rule_above_order_32(rule_spy):
 
 def test_only_the_oracle_properties_compute_rules(rule_spy):
     # a cost guard that counts instead of timing: the two-sided bound's norm
-    # is a closed form, so it computes no rule and the suite 180 in all
+    # is a closed form and the coercivity pairing integrates bare weights
+    # only, so neither computes a rule; the closed forms' smooth four-corner
+    # pieces need the Gauss-Legendre rules of orders 8 and 16, and no more
     run_property_suite()
-    counts = {name: len(keys) for name, keys in rule_spy.items()}
-    assert "prop_two_sided_bound" not in counts, counts
-    assert sum(counts.values()) <= 180, counts
+    assert rule_spy == {"prop_closed_forms_vs_oracle": [(8, 0.0, 0.0), (16, 0.0, 0.0)]}
 
 
 def _narrowest_gap_grids():

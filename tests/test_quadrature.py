@@ -121,20 +121,56 @@ def test_gauss_jacobi_moment_exactness():
 
 
 def test_bare_weight_is_exact_at_every_order():
-    # a Gauss-Jacobi rule's weights sum to the weight's integral, so with no
-    # smooth factor the one-point rule already gives what order 200 gives
+    # a Gauss-Jacobi rule's weights sum to the weight's integral, so the
+    # one-point and the 200-point rule give what both integrators return
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = rng.uniform(-0.9, 2.0)
         q = rng.uniform(-0.9, 2.0)
         a = rng.uniform(-2.0, 2.0)
         b = a + rng.uniform(0.1, 3.0)
-        one = fixed_order_integral(a, b, p=p, q=q, order=1)
-        assert one == pytest.approx(
-            fixed_order_integral(a, b, p=p, q=q, order=200), rel=1e-14)
+        half = 0.5 * (b - a)
+        one, many = (half ** (p + q + 1.0) * scipy.special.roots_jacobi(n, q, p)[1].sum()
+                     for n in (1, 200))
+        assert one == pytest.approx(many, rel=1e-14)
+        for func in (singular_integral, fixed_order_integral):
+            assert func(a, b, p=p, q=q) == pytest.approx(one, rel=1e-14)
         closed = ((b - a) ** (p + q + 1.0) * scipy.special.gamma(p + 1.0)
                   * scipy.special.gamma(q + 1.0) / scipy.special.gamma(p + q + 2.0))
         assert one == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("p, q", [(-0.3, 0.7), (1.5, -0.8), (-0.4, -0.4), (0.6, 0.6),
+                                  (0.0, 0.0)],
+                         ids=["jacobi", "jacobi-swapped", "gegenbauer-neg",
+                              "gegenbauer-pos", "legendre"])
+def test_bare_weight_builds_no_rule_and_matches_every_rule_sum(p, q):
+    # p != q goes through scipy's Jacobi path, p == q != 0 its Gegenbauer
+    # path and p == q == 0 its Legendre path; each forms its weights' sum
+    # on its own, and the integrators' one value agrees with all of them
+    a, b = 0.25, 1.75
+    half = 0.5 * (b - a)
+    values = [func(a, b, p=p, q=q, rules=_no_rules)
+              for func in (singular_integral, fixed_order_integral)]
+    assert values[0] == values[1]
+    for n in (1, 8, 16, 200):
+        rule_sum = half ** (p + q + 1.0) * scipy.special.roots_jacobi(n, q, p)[1].sum()
+        assert values[0] == pytest.approx(rule_sum, rel=1e-14), n
+
+
+def test_bare_weight_beyond_the_beta_range():
+    # above p + q = 1000 the weight's integral goes through betaln, as in
+    # roots_jacobi, where 2^(p+q+1) and B(p+1, q+1) alone would not be finite
+    p, q = 700.0, 400.5
+    value = fixed_order_integral(-1.0, 1.0, p=p, q=q, rules=_no_rules)
+    assert value == pytest.approx(scipy.special.roots_jacobi(4, q, p)[1].sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("func", [singular_integral, fixed_order_integral])
+def test_bare_weight_integral_that_overflows_raises(func):
+    # half^2 = 1.44e308 and mu0 = pi / 2 are finite, their product is not
+    with pytest.raises(QuadratureError, match="weight's integral is not finite"):
+        func(0.0, 2.4e154, p=0.5, q=0.5, rules=_no_rules)
 
 
 # the integrals of the tests above, as (function, arguments, keywords)
