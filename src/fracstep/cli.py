@@ -239,7 +239,7 @@ def _run_sweep(args) -> int:
                           "is not a directory path")
     try:
         table = harness.run_sweep(plan, cache_dir=args.cache_dir)
-    except OSError as exc:  # an unusable cache directory
+    except OSError as exc:  # an unusable cache directory or an unreadable source file
         raise ConfigError(f"cannot use the reference cache: {exc}") from exc
     _write_output(args, table.to_csv_text(), table.to_json_obj())
     return EXIT_OK

@@ -17,17 +17,18 @@ finest level's time grid; these are coarsened to each coarser level's time
 grid, each from the one before, and each level's error is then integrated
 on its own time grid through the exact identity of
 :func:`space_time_error`.  The reference cache stores exactly those finest
-moments, not the reference field.  A plan without a reference measures each
-level against the experiment's exact solution.  Every reported E1/E2, the
-manufactured solution's exact norms included, is reduced by the one chunked
-error kernel :func:`_block_forms`.
-Observed orders are base-2 logarithms of consecutive error ratios on dyadic
-levels.
+moments, not the reference field, under a key that carries a digest of the
+numerics modules' source (:func:`_reference_meta`).  A plan without a
+reference measures each level against the experiment's exact solution.
+Every reported E1/E2, the manufactured solution's exact norms included, is
+reduced by the one chunked error kernel :func:`_block_forms`.  Observed
+orders are base-2 logarithms of consecutive error ratios on dyadic levels.
 
 Desk-scale defaults keep the reference resolutions modest; the sweeps check
 orders, not absolute error digits.
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -37,6 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy
 
 from . import assembly, fem1d, solver
 from .errors import BUDGET, CHUNK, BudgetError, DomainError, NestingError, SolverError
@@ -45,13 +47,6 @@ from .gammafn import gamma_fn
 
 AXIS_SPACE = "space"
 AXIS_TIME = "time"
-
-# Part of every reference-cache key.  Change it whenever the solver's results
-# or the entry layout change, so that entries written by earlier numerics or
-# in another layout are never served.  Format 9 stores the finest level's
-# moments, without format 8's interval weights, after the key and a crc32 line.
-_CACHE_FORMAT = "9"
-
 
 # ---------------------------------------------------------------------------
 # experiment table: the one place an experiment is defined
@@ -542,10 +537,22 @@ def _cache_path(cache_dir: str, key: bytes) -> str:
     return os.path.join(cache_dir, f"ref_{hashlib.sha256(key).hexdigest()[:24]}.bin")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the numerics modules' source bytes and the numpy and scipy versions."""
+    digest = hashlib.sha256(f"numpy={np.__version__} scipy={scipy.__version__}".encode())
+    for name in ("errors", "gammafn", "fem1d", "fracops", "assembly", "solver", "harness"):
+        with open(os.path.join(os.path.dirname(__file__), f"{name}.py"), "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
+
+
 def _reference_meta(plan: SweepPlan) -> dict:
-    """The cache key of ``plan``'s reference moments on its finest level's grid."""
+    """The cache key of ``plan``'s reference moments on its finest level's grid.
+    Its ``format`` is :func:`_source_digest`: an edit to a numerics module, a
+    docstring's included, makes every entry written before it a miss."""
     ref_nx, ref_nt = plan.reference
-    meta = {"format": _CACHE_FORMAT, "experiment": plan.experiment,
+    meta = {"format": _source_digest(), "experiment": plan.experiment,
             "alpha": float(plan.alpha),
             "n_cells": str(ref_nx), "num_steps": str(ref_nt),
             "moment_steps": str(max(nt for _, nt in plan.levels))}
@@ -619,8 +626,8 @@ def _reference_moments(plan: SweepPlan, spec, cache_dir: str | None):
     finest = max(nt for _, nt in plan.levels)
     grid, mesh = TemporalGrid.uniform(finest), fem1d.Mesh1D(ref_nx)
     size = finest * (mesh.n_interior if finest == ref_nt else 2 * mesh.n_interior + 2)
-    meta = _reference_meta(plan)
-    if cache_dir is not None:
+    if cache_dir is not None:  # an uncached sweep reads no source file
+        meta = _reference_meta(plan)
         payload = load_cached_reference(cache_dir, meta, (size,))
         if payload is not None:
             return BlockMoments.from_payload(grid, mesh, payload), 0.0
@@ -635,10 +642,9 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
     """Execute a sweep plan and return its convergence table.
 
     The reference's moments on the finest level's time grid are cached on
-    disk (keyed by experiment, alpha, data parameters, the reference's
-    resolutions and the finest level's step count) under ``cache_dir``
-    only; ``None`` means no cache.  The reference and every level are
-    checked against the budget first, so an oversized one raises
+    disk under ``cache_dir``, keyed by :func:`_reference_meta`; ``None``
+    means no cache, and no source file is read.  The reference and every
+    level are checked against the budget first, so an oversized one raises
     :class:`BudgetError` before any grid is built, the cache is read or a
     level is solved.  Levels are solved finest first; the rows keep the
     plan's order.  A level whose errors are not finite raises
@@ -703,12 +709,6 @@ def run_sweep(plan: SweepPlan, cache_dir: str | None = None) -> ConvergenceTable
 # desk-scale default plans
 # ---------------------------------------------------------------------------
 
-def _geometric_levels(axis, nx, nt, count):
-    if axis == AXIS_SPACE:
-        return tuple((nx * (1 << i), nt) for i in range(count))
-    return tuple((nx, nt * (1 << i)) for i in range(count))
-
-
 def default_plan(experiment: str, axis: str, alpha: float | None = None,
                  params: dict | None = None, nx: int | None = None,
                  nt: int | None = None, count: int | None = None,
@@ -726,16 +726,13 @@ def default_plan(experiment: str, axis: str, alpha: float | None = None,
         raise DomainError(f"no default plan for {experiment!r} on axis {axis!r}")
     cfg = entry.plans[axis]
     alpha = cfg["alpha"] if alpha is None else alpha
-    merged_params = dict(cfg["params"])
-    if params:
-        merged_params.update(params)
     nx = cfg["nx"] if nx is None else nx
     nt = cfg["nt"] if nt is None else nt
     count = cfg["count"] if count is None else count
     if count > BUDGET.bit_length():  # the finest level alone would exceed it
         raise BudgetError(f"{count} dyadic levels exceed the budget of {BUDGET}")
     reference = cfg["reference"] if reference is None else reference
-    return SweepPlan(
-        experiment=experiment, alpha=alpha, axis=axis,
-        levels=_geometric_levels(axis, nx, nt, count),
-        reference=reference, params=merged_params)
+    levels = tuple((nx * (1 << i), nt) if axis == AXIS_SPACE else (nx, nt * (1 << i))
+                   for i in range(count))
+    return SweepPlan(experiment=experiment, alpha=alpha, axis=axis, levels=levels,
+                     reference=reference, params={**cfg["params"], **(params or {})})

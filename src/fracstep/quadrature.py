@@ -57,15 +57,19 @@ def _check_interval(a, b, p, q):
     return a, b
 
 
-def _finite(estimate: float, n: int | None, a: float, b: float) -> float:
-    """``estimate``, or ``QuadratureError`` if the order-``n`` rule (``None``:
-    the bare weight's integral) gave no finite value."""
+def _finite(total: float, n: int | None, a: float, b: float, p: float, q: float) -> float:
+    """``total``, an integral over ``(-1, 1)``, scaled to ``(a, b)``; ``QuadratureError``
+    unless finite (``n``: the rule's order, ``None`` for the bare weight)."""
+    try:
+        estimate = (0.5 * (b - a)) ** (p + q + 1.0) * total
+    except OverflowError:  # a float power raises where a float product gives inf
+        estimate = math.inf
     if n is None and not math.isfinite(estimate):
         raise QuadratureError(f"estimate is {estimate} on ({a}, {b}): the weight's "
                               "integral is not finite")
     if not math.isfinite(estimate):
         raise QuadratureError(f"estimate is {estimate} at order {n} on ({a}, {b}): the "
-                              "integrand is not finite at a node")
+                              "integrand at a node, or the integral, is not finite")
     return estimate
 
 
@@ -81,7 +85,14 @@ def _weight_integral(a: float, b: float, p: float, q: float) -> float:
         mu0 = 2.0 ** (p + q + 1.0) * float(beta(q + 1.0, p + 1.0))
     else:
         mu0 = float(np.exp((p + q + 1.0) * np.log(2.0) + betaln(q + 1.0, p + 1.0)))
-    return _finite((0.5 * (b - a)) ** (p + q + 1.0) * mu0, None, a, b)
+    return _finite(mu0, None, a, b, p, q)
+
+
+def _rule_estimate(a: float, b: float, p: float, q: float, smooth, n: int, rules) -> float:
+    """The order-``n`` rule's integral of ``(t-a)^p (b-t)^q smooth(t)``, finite."""
+    x, w = rules(n, q, p)  # its weight is (1-x)^q (1+x)^p: t-a maps to (1+x)
+    vals = w * np.asarray(smooth(0.5 * (a + b) + 0.5 * (b - a) * x), dtype=float)
+    return _finite(float(np.sum(vals)), n, a, b, p, q)
 
 
 def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
@@ -123,17 +134,10 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
     if smooth is None:
         return _weight_integral(a, b, p, q)
 
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    scale = half ** (p + q + 1.0)
-
     previous = None
     n = _MIN_ORDER
     while n <= _MAX_ORDER:
-        # roots_jacobi weight is (1-x)^alpha (1+x)^beta; t-a maps to (1+x)
-        x, w = rules(n, q, p)
-        vals = w * np.asarray(smooth(mid + half * x), dtype=float)
-        estimate = _finite(scale * float(np.sum(vals)), n, a, b)
+        estimate = _rule_estimate(a, b, p, q, smooth, n, rules)
         if previous is not None:
             tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
             if abs(estimate - previous) <= tol:
@@ -163,7 +167,4 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
         raise DomainError(f"order must be a positive integer, got {order!r}")
     if smooth is None:
         return _weight_integral(a, b, p, q)
-    half = 0.5 * (b - a)
-    x, w = rules(order, q, p)
-    vals = w * np.asarray(smooth(0.5 * (a + b) + half * x), dtype=float)
-    return _finite(half ** (p + q + 1.0) * float(np.sum(vals)), order, a, b)
+    return _rule_estimate(a, b, p, q, smooth, order, rules)

@@ -3,12 +3,15 @@ import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 
 import pytest
 
+from fracstep import harness
 from fracstep.cli import main
 from fracstep.errors import BUDGET
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
@@ -392,6 +395,40 @@ class TestSweep:
         assert code == 2
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert out == ""
+
+    def test_unreadable_source_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the cache key needs the numerics' source; without it there is no
+        # fallback key, and nothing is solved or written
+        monkeypatch.setattr(harness, "__file__", str(tmp_path / "gone" / "harness.py"))
+        harness._source_digest.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "sweep", *TINY_SWEEP,
+                                     "--cache-dir", str(tmp_path / "cache"))
+        finally:
+            harness._source_digest.cache_clear()
+        assert code == 2
+        assert err.startswith("config error: cannot use the reference cache:")
+        assert "errors.py" in err and out == ""
+        assert not (tmp_path / "cache").exists()
+
+    def test_processes_with_other_hash_seeds_share_one_entry(self, tmp_path):
+        # the key holds nothing a process draws at random, such as str hashes
+        cache = tmp_path / "cache"
+        package_root = os.path.dirname(os.path.dirname(harness.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=package_root, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "fracstep", "sweep", *TINY_SWEEP,
+                 "--cache-dir", str(cache)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+            if seed == "1":
+                (entry,) = cache.iterdir()
+                written = entry.stat().st_mtime_ns
+        assert outputs[0] == outputs[1]
+        assert list(cache.iterdir()) == [entry]
+        assert entry.stat().st_mtime_ns == written
 
     def test_given_reference_replaces_the_exact_solution(self, tmp_path, capsys):
         # the manufactured time plan measures against its exact solution by

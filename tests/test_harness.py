@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -507,6 +510,15 @@ def _counted_solve_steps(monkeypatch) -> list:
     return steps
 
 
+def _in_subprocess(package_root, *args) -> bytes:
+    """The stdout of ``python *args`` importing ``fracstep`` from ``package_root``."""
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def _entry_parts(path):
     """The header (key lines, then the crc32 line) and the payload of an entry."""
     raw = path.read_bytes()
@@ -704,7 +716,65 @@ class TestCache:
         uncached = run_sweep(plan).to_csv_text()
         assert run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text() == uncached
         (new_entry,) = set(tmp_path.iterdir()) - {old_entry}
-        assert "format=9" in _entry_parts(new_entry)[0].decode().splitlines()
+        header = _entry_parts(new_entry)[0].decode()
+        assert f"format={harness._source_digest()}" in header.splitlines()
+
+    def test_entry_under_another_digest_not_served(self, tmp_path):
+        # this plan's entry as another source would have keyed it: finite
+        # junk with a valid checksum
+        plan = default_plan(**TINY_PLAN)
+        other_meta = dict(harness._reference_meta(plan), format="0" * 64)
+        store_reference(str(tmp_path), other_meta, np.full(16 * (2 * 15 + 2), 1e3))
+        uncached = run_sweep(plan).to_csv_text()
+        assert run_sweep(plan, cache_dir=str(tmp_path)).to_csv_text() == uncached
+        assert len(list(tmp_path.glob("ref_*.bin"))) == 2
+
+    def test_source_is_read_once_and_only_for_a_cache(self, tmp_path):
+        # in a fresh process, an audit hook lists every numerics source file
+        # opened: none by an uncached sweep, each one once over two cached ones
+        script = "\n".join([
+            "import os, sys",
+            "from fracstep import harness",
+            "package = os.path.dirname(harness.__file__)",
+            "opened = []",
+            "sys.addaudithook(lambda event, args: event == 'open'"
+            " and str(args[0]).startswith(package) and str(args[0]).endswith('.py')"
+            " and opened.append(os.path.basename(args[0])))",
+            f"plan = harness.default_plan(**{TINY_PLAN!r})",
+            "harness.run_sweep(plan)",
+            "print(opened)",
+            "harness.run_sweep(plan, cache_dir=sys.argv[1])",
+            "harness.run_sweep(plan, cache_dir=sys.argv[1])",
+            "print(opened)",
+        ])
+        out = _in_subprocess(os.path.dirname(os.path.dirname(harness.__file__)),
+                             "-c", script, str(tmp_path))
+        modules = ["errors", "gammafn", "fem1d", "fracops", "assembly", "solver", "harness"]
+        assert out.decode().splitlines() == ["[]", repr([f"{m}.py" for m in modules])]
+
+    def test_source_edit_misses_and_a_moved_copy_hits(self, tmp_path):
+        # the key depends on the source bytes, not on where they lie
+        package = os.path.dirname(harness.__file__)
+        cache = tmp_path / "cache"
+        sweep = ("-m", "fracstep", "sweep", "--experiment", "exp3", "--axis", "time",
+                 "--alpha", "0.8", "--nx", "16", "--nt", "4", "--levels", "3",
+                 "--ref-nx", "16", "--ref-nt", "64", "--cache-dir", str(cache))
+        cold = _in_subprocess(os.path.dirname(package), *sweep)
+        (entry,) = cache.iterdir()
+        written = entry.stat().st_mtime_ns
+        for copy in ("moved", "edited"):
+            shutil.copytree(package, tmp_path / copy / "fracstep",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        assert _in_subprocess(tmp_path / "moved", *sweep) == cold
+        assert list(cache.iterdir()) == [entry]
+        assert entry.stat().st_mtime_ns == written
+        solver_source = tmp_path / "edited" / "fracstep" / "solver.py"
+        source = solver_source.read_bytes()
+        assert source.startswith(b'"""Causal ')  # one byte of the module docstring
+        solver_source.write_bytes(b'"""causal ' + source[len(b'"""Causal '):])
+        assert _in_subprocess(tmp_path / "edited", *sweep) == cold
+        assert len(list(cache.glob("ref_*.bin"))) == 2
+        assert entry.stat().st_mtime_ns == written
 
 
 class TestClosedGates:

@@ -173,6 +173,15 @@ def test_bare_weight_integral_that_overflows_raises(func):
         func(0.0, 2.4e154, p=0.5, q=0.5, rules=_no_rules)
 
 
+@pytest.mark.parametrize("smooth", [None, np.cos], ids=["bare", "smooth"])
+@pytest.mark.parametrize("func", [singular_integral, fixed_order_integral])
+def test_overflowing_interval_scale_raises(func, smooth):
+    # ((b - a) / 2)^(p+q+1) = 2.5e399 is beyond a float: the float power
+    # raises OverflowError, where a float product would give inf
+    with pytest.raises(QuadratureError, match="not finite"):
+        func(0.0, 1e200, p=1.0, q=1.0, smooth=smooth)
+
+
 # the integrals of the tests above, as (function, arguments, keywords)
 _CASES = [
     (singular_integral, (0.0, 1.0), {}),
