@@ -149,10 +149,15 @@ def _check_resolutions(args, names) -> None:
             raise BudgetError(f"--{name.replace('_', '-')} exceeds the budget of {BUDGET}")
 
 
-def _write_output(args, csv_text: str, json_obj: dict) -> None:
-    """Write the CSV text or the JSON object, as ``--format`` asks."""
-    text = (csv_text if args.fmt == "csv"
-            else json.dumps(json_obj, indent=2, allow_nan=False) + "\n")
+def _write_output(args, csv_text, json_obj) -> None:
+    """Write the CSV text or the JSON object, as ``--format`` asks.
+
+    Both come as zero-argument builders, and only the requested one is
+    called.  The text is built in full before the file is opened, so a
+    failure leaves no partial file.
+    """
+    text = (csv_text() if args.fmt == "csv"
+            else json.dumps(json_obj(), indent=2, allow_nan=False) + "\n")
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -197,12 +202,16 @@ def _run_solve(args) -> int:
 
     x = np.concatenate([[0.0], mesh.interior_nodes, [1.0]])
     u = np.concatenate([[0.0], field.values[-1], [0.0]])
-    lines = ["x,u_final"]
-    lines += [f"{format_float(xi)},{format_float(ui)}" for xi, ui in zip(x, u)]
-    if errors is not None:  # diagnostics ride along as comment lines
-        lines += [f"# E1={format_float(errors['E1'])}",
-                  f"# E2={format_float(errors['E2'])}"]
-    _write_output(args, "\n".join(lines) + "\n", {
+
+    def csv_text():
+        lines = ["x,u_final"]
+        lines += [f"{format_float(xi)},{format_float(ui)}" for xi, ui in zip(x, u)]
+        if errors is not None:  # diagnostics ride along as comment lines
+            lines += [f"# E1={format_float(errors['E1'])}",
+                      f"# E2={format_float(errors['E2'])}"]
+        return "\n".join(lines) + "\n"
+
+    _write_output(args, csv_text, lambda: {
         "meta": {"experiment": tag, "alpha": alpha, "nx": nx, "nt": nt,
                  "params": params},
         "final_time_values": {"x": x.tolist(), "u": u.tolist()},
@@ -241,7 +250,7 @@ def _run_sweep(args) -> int:
         table = harness.run_sweep(plan, cache_dir=args.cache_dir)
     except OSError as exc:  # an unusable cache directory or an unreadable source file
         raise ConfigError(f"cannot use the reference cache: {exc}") from exc
-    _write_output(args, table.to_csv_text(), table.to_json_obj())
+    _write_output(args, table.to_csv_text, table.to_json_obj)
     return EXIT_OK
 
 

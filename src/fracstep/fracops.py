@@ -133,13 +133,8 @@ def derivative_power_function(p: PowerFunction, gamma: float) -> PowerFunction:
 # ---------------------------------------------------------------------------
 
 def _plus_power(x, mu: float) -> np.ndarray:
-    # (x)_+^mu with the exact-zero convention: 0 wherever x <= 0, for any mu
-    # (negative mu included, where naive clipping would produce inf at 0).
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] ** mu
-    return out
+    # (x)_+^mu, 0 wherever x <= 0; every caller has mu > 0, so 0^mu = 0
+    return np.maximum(x, 0.0) ** mu
 
 
 def _four_corner(grid: TemporalGrid, order: float) -> np.ndarray:
@@ -150,9 +145,14 @@ def _four_corner(grid: TemporalGrid, order: float) -> np.ndarray:
     0-based interval indices; every piecewise constant pairing in this
     module is such a matrix.  The four corners are slices of one table of
     powers of node differences, so each entry is still computed on its own
-    from its four nodes, and those with ``j > k`` are exact zeros.
+    from its four nodes, and those with ``j > k`` are exact zeros.  A table
+    of more than ``BUDGET`` entries raises :class:`BudgetError` before
+    anything is allocated.
     """
     nodes = grid.nodes
+    if nodes.size ** 2 > BUDGET:
+        raise BudgetError(f"four-corner table ({grid.num_steps} intervals) exceeds the "
+                          f"budget of {BUDGET} entries")
     p = _plus_power(nodes[:, None] - nodes, 1.0 - order)
     return (p[1:, :-1] - p[:-1, :-1] - p[1:, 1:] + p[:-1, 1:]) / gamma_fn(2.0 - order)
 

@@ -7,20 +7,17 @@ oracle itself runs at 1e-10).  The oracle route never touches the package's
 gamma evaluation, which is what lets the suite detect a corrupted constant.
 Two properties call the oracle.  The coercivity pairing integrates only
 bare Jacobi weights, which the oracle returns as scipy Beta values with no
-rule built.  The closed forms against the oracle need rules for their smooth
-four-corner pieces; that property builds its own table of Gauss-Jacobi rules
-and drops it on return, so a rule is computed once per property call and
-never carried over to another call or another suite run.  The two-sided
-bound computes no rule: its norm has a closed form in scipy's ``hyp2f1``.
+rule built.  The closed forms against the oracle need Gauss-Jacobi rules
+only for their smooth four-corner pieces.  The two-sided bound computes no
+rule: its norm has a closed form in scipy's ``hyp2f1``.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gamma as scipy_gamma, hyp2f1, roots_jacobi
+from scipy.special import gamma as scipy_gamma, hyp2f1
 
 from . import assembly, fem1d, fracops, harness, solver
 from .fracops import PowerFunction, TemporalGrid
@@ -236,7 +233,6 @@ def _numeric_derivative(func, t) -> float:
 def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
     """Integral, derivative and weight closed forms match the oracle."""
     worst = 0.0
-    rules = functools.lru_cache(maxsize=None)(roots_jacobi)  # this call's rules
     for i in range(50):
         gamma = rng.uniform(0.05, 0.95)
         sigma = rng.uniform(-0.99, 2.0)
@@ -276,9 +272,8 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
                     if lo == a:
                         piece = singular_integral(a, nodes[k + 1], p=-alpha)
                     else:
-                        piece = singular_integral(
-                            lo, nodes[k + 1],
-                            smooth=lambda s, a=a: (s - a) ** -alpha, rules=rules)
+                        piece = singular_integral(lo, nodes[k + 1],
+                                                  smooth=lambda s, a=a: (s - a) ** -alpha)
                     pieces += sign * piece
             oracle_entry = pieces / scipy_gamma(1.0 - alpha)
             entry = fracops._four_corner(grid, alpha)[k, j]

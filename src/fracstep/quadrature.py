@@ -18,17 +18,6 @@ it to rounding.
 This module is intentionally independent of :mod:`fracstep.gammafn`: nodes,
 weights and the Beta values come from scipy, giving the dual evaluation
 route the property checks rely on.
-
-Both integrators take the rule source as a keyword ``rules``, a callable
-with the signature of :func:`scipy.special.roots_jacobi` (the default),
-consulted only when there is a smooth factor.  A caller that evaluates many
-integrals with the same exponents can pass a table of rules, e.g.
-``functools.lru_cache(maxsize=None)(roots_jacobi)``, so that each ``(n,
-alpha, beta)`` is computed once; the integrators never write into the
-returned arrays, so a table may hand the same ones out again.  A
-table belongs to one caller and lives only as long as that caller's work
-(one property of the suite, say): a process-wide table would grow without
-bound and would make a repeated run look faster than any single run is.
 """
 
 import math
@@ -88,15 +77,14 @@ def _weight_integral(a: float, b: float, p: float, q: float) -> float:
     return _finite(mu0, None, a, b, p, q)
 
 
-def _rule_estimate(a: float, b: float, p: float, q: float, smooth, n: int, rules) -> float:
+def _rule_estimate(a: float, b: float, p: float, q: float, smooth, n: int) -> float:
     """The order-``n`` rule's integral of ``(t-a)^p (b-t)^q smooth(t)``, finite."""
-    x, w = rules(n, q, p)  # its weight is (1-x)^q (1+x)^p: t-a maps to (1+x)
+    x, w = roots_jacobi(n, q, p)  # its weight is (1-x)^q (1+x)^p: t-a maps to (1+x)
     vals = w * np.asarray(smooth(0.5 * (a + b) + 0.5 * (b - a) * x), dtype=float)
     return _finite(float(np.sum(vals)), n, a, b, p, q)
 
 
-def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
-                      rules=roots_jacobi):
+def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0):
     """Integrate ``(t-a)^p (b-t)^q * smooth(t)`` over ``(a, b)``.
 
     Rule orders double from ``_MIN_ORDER`` until two consecutive estimates
@@ -119,10 +107,6 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
         Absolute agreement floor, finite and nonnegative; needed when the
         integral itself can be zero up to roundoff (a relative test never
         terminates on noise).
-    rules : callable
-        ``rules(n, alpha, beta)`` returns the nodes and weights of the
-        ``n``-point Gauss-Jacobi rule, as :func:`scipy.special.roots_jacobi`;
-        consulted only with a ``smooth`` factor.
 
     Returns
     -------
@@ -137,7 +121,7 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
     previous = None
     n = _MIN_ORDER
     while n <= _MAX_ORDER:
-        estimate = _rule_estimate(a, b, p, q, smooth, n, rules)
+        estimate = _rule_estimate(a, b, p, q, smooth, n)
         if previous is not None:
             tol = max(DEFAULT_RTOL * max(abs(estimate), abs(previous)), atol, 1e-300)
             if abs(estimate - previous) <= tol:
@@ -148,14 +132,13 @@ def singular_integral(a, b, p=0.0, q=0.0, smooth=None, atol=0.0,
         f"no convergence to rtol={DEFAULT_RTOL} within {_MAX_ORDER} nodes on ({a}, {b})")
 
 
-def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
-                         rules=roots_jacobi):
+def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256):
     """Single Gauss-Jacobi rule of the given order, no convergence loop.
 
     Used where the caller differentiates the result numerically and needs a
     noise floor at machine level rather than an adaptive stopping test.
-    ``order`` must be a positive integer; ``rules`` and the non-finite
-    check are as in :func:`singular_integral`.
+    ``order`` must be a positive integer; the non-finite check is as in
+    :func:`singular_integral`.
 
     A Gauss-Jacobi rule integrates its bare weight exactly at every order
     (its weights sum to the weight's integral), so ``order`` matters only
@@ -167,4 +150,4 @@ def fixed_order_integral(a, b, p=0.0, q=0.0, smooth=None, order=256,
         raise DomainError(f"order must be a positive integer, got {order!r}")
     if smooth is None:
         return _weight_integral(a, b, p, q)
-    return _rule_estimate(a, b, p, q, smooth, order, rules)
+    return _rule_estimate(a, b, p, q, smooth, order)

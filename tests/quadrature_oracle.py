@@ -20,13 +20,12 @@ def left_integral(grid, values, gamma, t) -> np.ndarray:
     return terms @ np.asarray(values, dtype=float) / scipy_gamma(1.0 + gamma)
 
 
-def integral_norm_sq(grid, values, gamma, rules) -> float:
+def integral_norm_sq(grid, values, gamma) -> float:
     """||I_left^gamma v||^2 by singularity splitting + the oracle.
 
     On each interval the integral is an analytic part plus one
     ``(t - t_l)^gamma`` term, so the square splits into three pieces with
-    known endpoint exponents.  ``rules`` is the rule source handed to
-    :func:`singular_integral`.
+    known endpoint exponents.
     """
     total = 0.0
     nodes = grid.nodes
@@ -44,9 +43,8 @@ def integral_norm_sq(grid, values, gamma, rules) -> float:
             return full - c_l * (t - a) ** gamma
 
         total += singular_integral(
-            a, b, smooth=lambda t: np.asarray(analytic_part(t)) ** 2, atol=floor,
-            rules=rules)
+            a, b, smooth=lambda t: np.asarray(analytic_part(t)) ** 2, atol=floor)
         total += 2.0 * c_l * singular_integral(a, b, p=gamma, smooth=analytic_part,
-                                               atol=floor, rules=rules)
+                                               atol=floor)
         total += c_l ** 2 * (b - a) ** (2.0 * gamma + 1.0) / (2.0 * gamma + 1.0)
     return total

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from fracstep import harness
+from fracstep import cli, harness
 from fracstep.cli import main
 from fracstep.errors import BUDGET
 from fracstep.harness import EXPERIMENTS, default_plan, run_sweep
@@ -106,6 +106,23 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["meta"]["nt"] == 16
         assert err.startswith("solved spectral")
+
+    def test_json_solve_formats_no_node_as_csv_text(self, capsys, monkeypatch):
+        # only the requested output is built: the summary's alpha, E1 and E2
+        # are the only floats formatted, not the 17 nodes' CSV text
+        formatted = []
+
+        def spy(value):
+            formatted.append(value)
+            return harness.format_float(value)
+
+        monkeypatch.setattr(cli, "format_float", spy)
+        code, out, _ = run_cli(
+            capsys, "solve", "--experiment", "manufactured", "--alpha", "0.8",
+            "--nx", "16", "--nt", "8", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["final_time_values"]["x"]) == 17
+        assert len(formatted) == 3
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--experiment", "exp1",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracstep import fracops
 from fracstep.assembly import initial_time_factors
 from fracstep.errors import BUDGET, CHUNK, BudgetError, DomainError
 from fracstep.fracops import (
@@ -284,6 +285,27 @@ class TestSeminorm:
             fractional_seminorm_pwc(grid, np.ones(4), 0.5)
         with pytest.raises(DomainError):
             fractional_seminorm_pwc(grid, np.ones(4), 0.6)
+
+
+@pytest.mark.parametrize("pairing", [derivative_pairing_pwc, fractional_integral_pairing_pwc,
+                                     fractional_seminorm_pwc])
+def test_over_budget_pairing_rejected_before_allocating(monkeypatch, pairing):
+    def no_powers(x, mu):
+        raise AssertionError("node differences raised to a power before the budget check")
+
+    J = 4096
+    assert (J + 1) ** 2 > BUDGET
+    grid = TemporalGrid.uniform(J)
+    values = np.ones(J)
+    monkeypatch.setattr(fracops, "_plus_power", no_powers)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="budget"):
+            pairing(grid, values, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestPairingWeightEquivalence:

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 import scipy.special
@@ -46,11 +44,16 @@ def test_absolute_floor_for_zero_integrands():
     assert abs(value) <= 1e-14
 
 
-def _no_rules(n, alpha, beta):
-    pytest.fail(f"rule ({n}, {alpha}, {beta}) built for input that must be rejected")
+@pytest.fixture
+def no_rules(monkeypatch):
+    """Fail the test at the first Gauss-Jacobi rule the integrators build."""
+    def refuse(n, alpha, beta):
+        pytest.fail(f"rule ({n}, {alpha}, {beta}) built where none is needed")
+
+    monkeypatch.setattr(quadrature, "roots_jacobi", refuse)
 
 
-def test_domain_errors():
+def test_domain_errors(no_rules):
     with pytest.raises(DomainError):
         singular_integral(1.0, 1.0)
     with pytest.raises(DomainError):
@@ -68,7 +71,7 @@ def test_domain_errors():
             (fixed_order_integral, {"order": -3}), (fixed_order_integral, {"order": 2.5}),
             (fixed_order_integral, {"p": np.nan}), (fixed_order_integral, {"q": -np.inf})]:
         with pytest.raises(DomainError):
-            func(0.0, 1.0, rules=_no_rules, **kwargs)
+            func(0.0, 1.0, smooth=np.cos, **kwargs)
 
 
 def test_budget_exhaustion_raises(monkeypatch):
@@ -79,18 +82,18 @@ def test_budget_exhaustion_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_integrand_raises_at_the_first_order(bad):
+def test_non_finite_integrand_raises_at_the_first_order(bad, monkeypatch):
     # a non-finite estimate never converges, so the loop must stop at the
     # first order, not double up to _MAX_ORDER and report "no convergence"
     built = []
 
-    def rules(n, alpha, beta):
+    def spy(n, alpha, beta):
         built.append(n)
         return scipy.special.roots_jacobi(n, alpha, beta)
 
+    monkeypatch.setattr(quadrature, "roots_jacobi", spy)
     with pytest.raises(QuadratureError, match="not finite"):
-        singular_integral(0.0, 1.0, p=-0.5,
-                          smooth=lambda t: np.where(t > 0.5, bad, 1.0), rules=rules)
+        singular_integral(0.0, 1.0, p=-0.5, smooth=lambda t: np.where(t > 0.5, bad, 1.0))
     assert built == [quadrature._MIN_ORDER]
 
 
@@ -144,33 +147,32 @@ def test_bare_weight_is_exact_at_every_order():
                                   (0.0, 0.0)],
                          ids=["jacobi", "jacobi-swapped", "gegenbauer-neg",
                               "gegenbauer-pos", "legendre"])
-def test_bare_weight_builds_no_rule_and_matches_every_rule_sum(p, q):
+def test_bare_weight_builds_no_rule_and_matches_every_rule_sum(p, q, no_rules):
     # p != q goes through scipy's Jacobi path, p == q != 0 its Gegenbauer
     # path and p == q == 0 its Legendre path; each forms its weights' sum
     # on its own, and the integrators' one value agrees with all of them
     a, b = 0.25, 1.75
     half = 0.5 * (b - a)
-    values = [func(a, b, p=p, q=q, rules=_no_rules)
-              for func in (singular_integral, fixed_order_integral)]
+    values = [func(a, b, p=p, q=q) for func in (singular_integral, fixed_order_integral)]
     assert values[0] == values[1]
     for n in (1, 8, 16, 200):
         rule_sum = half ** (p + q + 1.0) * scipy.special.roots_jacobi(n, q, p)[1].sum()
         assert values[0] == pytest.approx(rule_sum, rel=1e-14), n
 
 
-def test_bare_weight_beyond_the_beta_range():
+def test_bare_weight_beyond_the_beta_range(no_rules):
     # above p + q = 1000 the weight's integral goes through betaln, as in
     # roots_jacobi, where 2^(p+q+1) and B(p+1, q+1) alone would not be finite
     p, q = 700.0, 400.5
-    value = fixed_order_integral(-1.0, 1.0, p=p, q=q, rules=_no_rules)
+    value = fixed_order_integral(-1.0, 1.0, p=p, q=q)
     assert value == pytest.approx(scipy.special.roots_jacobi(4, q, p)[1].sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("func", [singular_integral, fixed_order_integral])
-def test_bare_weight_integral_that_overflows_raises(func):
+def test_bare_weight_integral_that_overflows_raises(func, no_rules):
     # half^2 = 1.44e308 and mu0 = pi / 2 are finite, their product is not
     with pytest.raises(QuadratureError, match="weight's integral is not finite"):
-        func(0.0, 2.4e154, p=0.5, q=0.5, rules=_no_rules)
+        func(0.0, 2.4e154, p=0.5, q=0.5)
 
 
 @pytest.mark.parametrize("smooth", [None, np.cos], ids=["bare", "smooth"])
@@ -181,35 +183,3 @@ def test_overflowing_interval_scale_raises(func, smooth):
     with pytest.raises(QuadratureError, match="not finite"):
         func(0.0, 1e200, p=1.0, q=1.0, smooth=smooth)
 
-
-# the integrals of the tests above, as (function, arguments, keywords)
-_CASES = [
-    (singular_integral, (0.0, 1.0), {}),
-    (singular_integral, (0.0, 1.0), {"p": -0.5}),
-    (singular_integral, (0.0, 1.0), {"p": -0.25, "q": -0.25}),
-    (singular_integral, (0.0, 2.0), {"smooth": lambda t: t ** 2}),
-    (fixed_order_integral, (1.0, 3.0), {"p": -0.3, "q": -0.6, "smooth": np.exp,
-                                        "order": 600}),
-    (singular_integral, (1.0, 3.0), {"p": -0.3, "q": -0.6, "smooth": np.exp}),
-    (singular_integral, (0.0, 1.0), {"smooth": lambda t: 0.0 * t, "atol": 1e-14}),
-    (singular_integral, (0.0, 1.0), {"p": 0.3, "smooth": np.cos}),
-    (fixed_order_integral, (0.0, 1.0), {"p": 0.3, "smooth": np.cos, "order": 128}),
-]
-
-
-def test_shared_rule_table_gives_the_default_values():
-    # one table serves every case twice; its arrays are read-only, so an
-    # integrator that wrote into a rule it was handed would raise here
-    @functools.lru_cache(maxsize=None)
-    def frozen_rules(n, alpha, beta):
-        x, w = scipy.special.roots_jacobi(n, alpha, beta)
-        x.flags.writeable = False
-        w.flags.writeable = False
-        return x, w
-
-    expected = [func(*args, **kwargs) for func, args, kwargs in _CASES]
-    for _ in range(2):
-        shared = [func(*args, rules=frozen_rules, **kwargs)
-                  for func, args, kwargs in _CASES]
-        assert shared == expected
-    assert frozen_rules.cache_info().hits > 0
