@@ -93,7 +93,9 @@ class ThomasFactor:
 
     :meth:`TridiagonalMatrix.factor` makes them with ``dpttrf``, once per
     step matrix, and ``dpttrs`` runs once per right-hand side.  ``d`` holds
-    D and ``e`` the subdiagonal of the unit bidiagonal L.
+    D and ``e`` the subdiagonal of the unit bidiagonal L.  :meth:`solve`
+    works in place: it overwrites a contiguous float64 right-hand side, such
+    as a row of the march's field, with the solution.
     The name is kept because ``benchmarks/tracing.py`` traces its ``solve``.
     """
 
@@ -101,10 +103,12 @@ class ThomasFactor:
     e: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Return the solution: ``rhs`` itself, overwritten, when it is a
+        contiguous float64 array; otherwise a new array, ``rhs`` untouched."""
         # dpttrs would return a longer rhs with its tail untouched
         if np.shape(rhs) != self.d.shape:
             raise DomainError(f"right-hand side shape {np.shape(rhs)} != {self.d.shape}")
-        x, _ = lapack.dpttrs(self.d, self.e, rhs)
+        x, _ = lapack.dpttrs(self.d, self.e, rhs, overwrite_b=True)
         return x
 
 

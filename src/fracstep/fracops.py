@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BUDGET, CHUNK, BudgetError, DomainError
 from .gammafn import gamma_fn
@@ -58,6 +59,8 @@ class TemporalGrid:
             raise DomainError("grid must start at t_0 = 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("grid nodes must be strictly increasing")
+        if not math.isfinite(nodes[-1]):  # the nodes increase from 0: the last is the largest
+            raise DomainError(f"grid nodes must be finite, got final time {nodes[-1]}")
         nodes.flags.writeable = False
 
     @classmethod
@@ -66,8 +69,8 @@ class TemporalGrid:
             raise DomainError(f"need an integer num_steps >= 1, got {num_steps!r}")
         if num_steps > BUDGET:  # before the nodes are allocated; no solve has more
             raise BudgetError(f"{num_steps} steps exceed the budget of {BUDGET}")
-        if not final_time > 0.0:
-            raise DomainError("final time must be positive")
+        if not 0.0 < final_time < math.inf:
+            raise DomainError(f"final time must be positive and finite, got {final_time}")
         return cls(final_time * (np.arange(num_steps + 1) / num_steps))
 
     @property
@@ -201,19 +204,24 @@ class TemporalWeightMatrix:
         """Add ``sum_{lo<=j<mid} G[k, j] * values[j]`` to each row ``k`` in ``[mid, hi)``.
 
         The product is added in place; rows outside ``[mid, hi)`` are not
-        touched.  Up to ``n = hi - lo = DENSE_MERGE`` it is one dense product
-        with :meth:`block`, whose ``(hi - mid)(mid - lo) <= (n / 2)^2 <=
-        errors.CHUNK`` values stay within one working buffer for every split.
-        Longer ranges are a Toeplitz product, evaluated as a circular real FFT
-        convolution of length ``n`` with time as the contiguous axis, over
-        about ``errors.CHUNK`` values of the past steps at a time (column
-        chunks), transposed and zero-padded to length ``n``.  Every lag
-        ``k - j`` lies in ``1..n-1``, so no term wraps around.
+        touched.  Every lag ``k - j`` lies in ``1..n-1``, ``n = hi - lo``, so
+        the block ``G[mid:hi, lo:mid]`` has no zero entry.  Up to ``n =
+        DENSE_MERGE`` it is one dense product with that block, copied from a
+        reversed sliding window over the kernel's lags ``1..n-1`` rather than
+        gathered lag by lag as in :meth:`block`; its ``(hi - mid)(mid - lo)
+        <= (n / 2)^2 <= errors.CHUNK`` values stay within one working buffer
+        for every split.  Longer ranges are a Toeplitz product, evaluated as a
+        circular real FFT convolution of length ``n`` with time as the
+        contiguous axis, over about ``errors.CHUNK`` values of the past steps
+        at a time (column chunks), transposed and zero-padded to length
+        ``n``; no term wraps around.
         """
         n = hi - lo
         past = values[lo:mid]
         if n <= DENSE_MERGE:
-            values[mid:hi] += self.block(slice(mid, hi), slice(lo, mid)) @ past
+            # row a, column b holds lag (mid - lo) + a - b
+            lagged = sliding_window_view(self._kernel[n - 1:0:-1], mid - lo)[::-1]
+            values[mid:hi] += np.ascontiguousarray(lagged) @ past
             return
         width = max(1, CHUNK // n)
         kernel_spectrum = np.fft.rfft(self._kernel[:n])

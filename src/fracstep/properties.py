@@ -84,17 +84,21 @@ def _poly_left_side(beta) -> np.ndarray:
 
 
 def _poly_right_side(beta) -> np.ndarray:
-    # <x^n, I_right^beta x^m> via the binomial expansion of x^m around x = 1
-    out = np.zeros((4, 4))
+    # <x^n, I_right^beta x^m> via the binomial expansion of x^m around x = 1;
+    # each gamma value once per draw, its argument spelt as in the sum
+    factorial = [gamma_fn(i + 1.0) for i in range(4)]
+    lifted = [gamma_fn(j + 1.0 + beta) for j in range(4)]
+    shifted = [gamma_fn(j + beta + 1.0) for j in range(4)]
+    paired = [gamma_fn(s + beta + 2.0) for s in range(7)]  # s = n + j
+    out = [[0.0] * 4 for _ in range(4)]
     for m in range(4):
         for j in range(m + 1):
             cj = math.comb(m, j) * (-1.0) ** j
             # right integral of cj (1-s)^j is cj j!/Gamma(j+1+beta) (1-x)^(j+beta)
-            coeff = cj * gamma_fn(j + 1.0) / gamma_fn(j + 1.0 + beta)
+            coeff = cj * factorial[j] / lifted[j]
             for n in range(4):
-                out[n, m] += coeff * (gamma_fn(n + 1.0) * gamma_fn(j + beta + 1.0)
-                                      / gamma_fn(n + j + beta + 2.0))
-    return out
+                out[n][m] += coeff * (factorial[n] * shifted[j] / paired[n + j])
+    return np.array(out)
 
 
 def prop_duality(rng) -> PropertyResult:
@@ -444,10 +448,11 @@ def _naive_march(grid, mesh, alpha, loads) -> np.ndarray:
     weights = fracops.temporal_weights(grid, alpha).dense()
     mass = fem1d.assemble_mass(mesh).to_dense()
     stiffness = fem1d.assemble_stiffness(mesh).to_dense()
+    tau = grid.tau
     values = np.zeros_like(loads)
     for k in range(grid.num_steps):
         rhs = loads[k] - mass @ (weights[k, :k] @ values[:k])
-        values[k] = np.linalg.solve(weights[k, k] * mass + grid.tau[k] * stiffness, rhs)
+        values[k] = np.linalg.solve(weights[k, k] * mass + tau[k] * stiffness, rhs)
     return values
 
 

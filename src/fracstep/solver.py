@@ -17,22 +17,30 @@ contribution to every row of the second half is added in place, in one
 batched product (:meth:`TemporalWeightMatrix.history_block`: one dense
 block product up to ``fracops.DENSE_MERGE`` steps, a chunked FFT
 convolution along time above it), and the second half is solved.  Shorter
-ranges, the leaves, march step by step: each leaf takes its dense weight
-block once and adds the history within the leaf as one row of that block
-times the leaf's solved steps.  The loop costs O(N J log^2 J) instead of
-the naive O(N J^2).  The naive sum stays in the oracles:
-:func:`scalar_solve` and :func:`energy_identity_gap` read one whole weight
-row ``G[k, :k+1]`` per step, and the property suite compares them and a
-naive dense march with this loop.  :meth:`TemporalWeightMatrix.history_dot`
-is kept only for the tests and the benchmark's tracer.
+ranges, the leaves, march step by step.  A weight depends on its lag alone,
+so a solve gathers one ``HISTORY_BLOCK``-square near block and each leaf
+reads its top-left corner; the history within the leaf is one row of it
+times the leaf's solved steps.  Each step runs in place in its row of the
+field: that history is added, the mass product goes into the leaf's
+history buffer, the right-hand side is subtracted into the row, and
+:meth:`fem1d.ThomasFactor.solve` overwrites the row with the solution.  On
+the uniform mesh the off-diagonal bands are constant, so the mass product
+and the step matrix's action each take one product for both bands.  The
+loop costs O(N J log^2 J) instead of the naive O(N J^2).  The naive sum
+stays in the oracles: :func:`scalar_solve` and :func:`energy_identity_gap`
+read one whole weight row ``G[k, :k+1]`` per step, and the property suite
+compares them and a naive dense march with this loop.
+:meth:`TemporalWeightMatrix.history_dot` is kept only for the tests and the
+benchmark's tracer.
 
 Each leaf reads its load rows through one callable, ``rows(steps)``: the
 spec's :class:`assembly.Load`, built once per solve, or a view of a given
-load array.  It keeps its steps' mass-weighted history rows in one buffer;
-after it, the step residuals and the energy identity are computed for all
-of its steps at once, and a failing residual raises :class:`SolverError`
-naming the first bad step.  So a solve holds its field, its load terms and
-one leaf's buffers, never a whole load array or merge product.
+load array.  Its steps' mass-weighted history rows go into one buffer,
+allocated once per solve; after the leaf, the step residuals and the energy
+identity are computed for all of its steps at once, and a failing residual
+raises :class:`SolverError` naming the first bad step.  So a solve holds
+its field, its load terms and one leaf's buffers, never a whole load array
+or merge product.
 """
 
 import math
@@ -93,6 +101,12 @@ def _causal_blocks(lo: int, hi: int):
     yield from _causal_blocks(mid, hi)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: ``np.linalg.norm(x, axis=1)`` of a real
+    array, without its conjugate copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def check_budget(n_cells: int, num_steps: int) -> None:
     """:class:`BudgetError` if a solve of ``n_cells`` cells and ``num_steps``
     steps would exceed ``BUDGET`` space-time unknowns."""
@@ -111,7 +125,8 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     anything is allocated.  Each step's linear residual, relative to the
     step right-hand side, must stay within ``RESIDUAL_TOL``; the Galerkin
     energy identity is accumulated per leaf from explicit matrix actions and
-    reported as a relative gap.  A residual or an energy gap that is not
+    reported as a relative gap.  Both are checked once per leaf, after its
+    steps have run in place in the field's rows.  A residual or an energy gap that is not
     finite raises :class:`SolverError`.
     """
     check_budget(mesh.n_cells, grid.num_steps)
@@ -126,8 +141,11 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
 
     mass = fem1d.assemble_mass(mesh)
     stiffness = fem1d.assemble_stiffness(mesh)
+    # a weight depends on its lag alone, so every leaf's block G[steps, steps]
+    # is the top-left corner of this one
+    near = weights.block(slice(0, HISTORY_BLOCK), slice(0, HISTORY_BLOCK))
     # the one step matrix G_00 M + tau K, its factor and its norm
-    diag_weight = weights.block(slice(0, 1), slice(0, 1)).item()
+    diag_weight = float(near[0, 0])
     if not diag_weight > 0.0:
         raise SolverError(f"non-positive diagonal weight {diag_weight}")
     tau = grid.tau[0]
@@ -138,9 +156,14 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     # check stays meaningful when the stiffness part dominates on fine meshes
     matrix_norm = (np.max(np.abs(step_matrix.diag))
                    + 2.0 * np.max(np.abs(step_matrix.off), initial=0.0))
+    # the uniform mesh's off-diagonal bands are constant (empty for N = 1),
+    # so each matrix action takes one product for both of them
+    mass_off, step_off = (mass.off[0], step_matrix.off[0]) if N > 1 else (0.0, 0.0)
 
     values = np.zeros((J, N))
     residuals = np.empty(J)
+    hist = np.empty((len(near), N))  # a leaf's mass-weighted history rows
+    off_product = np.empty(N)
     lhs_energy = 0.0
     rhs_energy = 0.0
 
@@ -153,28 +176,37 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
                 continue
             steps = slice(lo, hi)
             leaf_loads = rows(steps)
-            near = weights.block(steps, steps)
-            hist = np.empty((hi - lo, N))
             for i, k in enumerate(range(lo, hi)):
-                hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
-                values[k] = factor.solve(leaf_loads[i] - hist[i])
+                x, y = values[k], hist[i]
+                x += near[i, :i] @ values[lo:k]
+                np.multiply(mass.diag, x, out=y)
+                np.multiply(mass_off, x, out=off_product)
+                y[:-1] += off_product[1:]
+                y[1:] += off_product[:-1]
+                np.subtract(leaf_loads[i], y, out=x)
+                factor.solve(x)
 
             # residual and energy checks for the whole leaf
             u = values[steps]
-            rhs = leaf_loads - hist
-            action = step_matrix.matvec(u)
-            scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
-                               + np.linalg.norm(rhs, axis=1), 1e-300)
-            residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
+            leaf_hist = hist[:hi - lo]
+            rhs = leaf_loads - leaf_hist
+            action = step_matrix.diag * u
+            off_products = step_off * u
+            action[:, :-1] += off_products[:, 1:]
+            action[:, 1:] += off_products[:, :-1]
+            scale = np.maximum(matrix_norm * _row_norms(u) + _row_norms(rhs), 1e-300)
+            leaf_hist += action  # the left side of the energy identity
+            action -= rhs
+            residuals[steps] = _row_norms(action) / scale
             bad = np.flatnonzero(~(residuals[steps] <= RESIDUAL_TOL))  # NaN fails too
             if bad.size:
                 k = lo + bad[0]
                 raise SolverError(
                     f"step {k} residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:.1e}")
-            lhs_energy += float(np.vdot(u, hist + action))
+            lhs_energy += float(np.vdot(u, leaf_hist))
             rhs_energy += float(np.vdot(u, leaf_loads))
             # free the leaf's arrays before the next merge allocates its own
-            del near, hist, rhs, action, leaf_loads
+            del rhs, action, off_products, leaf_loads
 
     gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
     if not math.isfinite(gap):

@@ -105,6 +105,17 @@ class TestThomas:
             assert np.allclose(tri.factor().solve(rhs), expected,
                                rtol=1e-12, atol=1e-14)
 
+    def test_solve_overwrites_a_contiguous_rhs(self):
+        tri = TridiagonalMatrix(np.full(3, 4.0), np.ones(2))
+        rows = np.ones((2, 3))
+        x = tri.factor().solve(rows[1])
+        assert np.shares_memory(x, rows)
+        assert np.allclose(tri.matvec(rows[1]), 1.0, rtol=1e-14)
+        assert np.array_equal(rows[0], np.ones(3))
+        given = [1.0, 1.0, 1.0]  # copied first: the caller's list is left alone
+        assert np.array_equal(tri.factor().solve(given), x)
+        assert given == [1.0, 1.0, 1.0]
+
     def test_wrong_length_rhs_rejected(self):
         factor = TridiagonalMatrix(np.full(3, 4.0), np.ones(2)).factor()
         for n in (2, 4):

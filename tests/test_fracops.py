@@ -56,6 +56,18 @@ class TestTypes:
         with pytest.raises(DomainError):
             TemporalGrid(np.array([0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("last, match", [(math.inf, "finite"), (math.nan, "increasing")])
+    def test_grid_rejects_a_non_finite_node(self, last, match):
+        # [0, 1, inf] increases strictly and used to be accepted
+        with pytest.raises(DomainError, match=match):
+            TemporalGrid(np.array([0.0, 1.0, last]))
+
+    @pytest.mark.parametrize("final_time", [math.inf, math.nan, 0.0, -1.0])
+    def test_uniform_rejects_a_non_finite_or_non_positive_final_time(self, final_time):
+        # an infinite T used to fail as "grid must start at t_0 = 0", from inf * 0
+        with pytest.raises(DomainError, match="final time"):
+            TemporalGrid.uniform(4, final_time)
+
     @pytest.mark.parametrize("num_steps", [2.5, 4.0, "4", 0])
     def test_uniform_rejects_a_non_integer_or_empty_step_count(self, num_steps):
         # 2.5 used to build a 3-step grid ending at T = 1.2

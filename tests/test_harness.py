@@ -349,6 +349,17 @@ class TestSpaceTimeError:
         with pytest.raises(NestingError):
             space_time_error(a, b)
 
+    def test_nodes_not_shared_rejected(self):
+        # the step counts nest, the nodes do not: T = 1 against T = 1 + 1e-13
+        mesh = fem1d.Mesh1D(4)
+        fine = BlockMoments.of_values(TemporalGrid.uniform(8, 1.0), mesh, np.zeros((8, 3)))
+        assert fine.ratio(TemporalGrid.uniform(4, 1.0)) == 2
+        assert fine.ratio(TemporalGrid(fine.grid.nodes[::2] * (1.0 + 1e-15))) == 2
+        with pytest.raises(NestingError, match="share"):
+            fine.ratio(TemporalGrid.uniform(4, 1.0 + 1e-13))
+        with pytest.raises(NestingError, match="share"):
+            fine.ratio(TemporalGrid((np.arange(5) / 4) ** 2))
+
 
 class TestSweepPlan:
     def test_non_nested_plan_rejected(self):

@@ -348,6 +348,85 @@ class TestLeafLoads:
         assert peak < field_bytes + 6 * CHUNK * 8
 
 
+def _plain_march(spec, grid, mesh):
+    """The march with every product allocated anew: a gathered near block per
+    leaf, ``mass.matvec`` and a fresh right-hand side per step, the step
+    matrix's ``matvec`` and ``np.linalg.norm`` in the checks, and the dense
+    merges as gathered block products.  Returns the values, the residual
+    norms and the energy gap that ``solver.solve`` must equal bitwise."""
+    weights = temporal_weights(grid, spec.alpha)
+    J, N = grid.num_steps, mesh.n_interior
+    rows = assembly.load_terms(spec, grid, mesh).rows
+    mass = fem1d.assemble_mass(mesh)
+    stiffness = fem1d.assemble_stiffness(mesh)
+    diag_weight = weights.block(slice(0, 1), slice(0, 1)).item()
+    tau = grid.tau[0]
+    step_matrix = fem1d.TridiagonalMatrix(diag_weight * mass.diag + tau * stiffness.diag,
+                                          diag_weight * mass.off + tau * stiffness.off)
+    factor = step_matrix.factor()
+    matrix_norm = (np.max(np.abs(step_matrix.diag))
+                   + 2.0 * np.max(np.abs(step_matrix.off), initial=0.0))
+    values = np.zeros((J, N))
+    residuals = np.empty(J)
+    lhs_energy = rhs_energy = 0.0
+    for lo, mid, hi in solver._causal_blocks(0, J):
+        if mid < hi:
+            if hi - lo <= fracops.DENSE_MERGE:
+                values[mid:hi] += weights.block(slice(mid, hi), slice(lo, mid)) @ values[lo:mid]
+            else:
+                weights.history_block(values, lo, mid, hi)
+            continue
+        steps = slice(lo, hi)
+        leaf_loads = rows(steps)
+        near = weights.block(steps, steps)
+        hist = np.empty((hi - lo, N))
+        for i, k in enumerate(range(lo, hi)):
+            hist[i] = mass.matvec(values[k] + near[i, :i] @ values[lo:k])
+            values[k] = factor.solve(leaf_loads[i] - hist[i])
+        u = values[steps]
+        rhs = leaf_loads - hist
+        action = step_matrix.matvec(u)
+        scale = np.maximum(matrix_norm * np.linalg.norm(u, axis=1)
+                           + np.linalg.norm(rhs, axis=1), 1e-300)
+        residuals[steps] = np.linalg.norm(action - rhs, axis=1) / scale
+        lhs_energy += float(np.vdot(u, hist + action))
+        rhs_energy += float(np.vdot(u, leaf_loads))
+    gap = abs(lhs_energy - rhs_energy) / max(abs(lhs_energy), abs(rhs_energy), 1e-300)
+    return values, residuals, gap
+
+
+class TestInPlaceMarch:
+    # 1100 steps: FFT merges of 1100 and 550 steps, dense merges of 275 down
+    # to 68 steps, odd splits and leaves of 34 and 35 steps; 2 cells leave
+    # one unknown and empty off-diagonal bands
+    @pytest.mark.parametrize("nx", [8, 2])
+    @pytest.mark.parametrize("spec", [
+        experiment1_spec(0.5), harness.experiment_problem("experiment3", 0.8),
+        harness.manufactured_problem(0.8), assembly.spectral_test_problem(1, 0.6),
+        ProblemSpec(alpha=0.3)], ids=["exp1", "exp3", "manufactured", "spectral", "zero"])
+    def test_solve_equals_the_plain_march_bitwise(self, spec, nx):
+        grid, mesh = TemporalGrid.uniform(1100, 1.0), fem1d.Mesh1D(nx)
+        field, report = solver.solve(spec, grid, mesh)
+        values, residuals, gap = _plain_march(spec, grid, mesh)
+        assert np.array_equal(field.values, values)
+        assert np.array_equal(report.residual_norms, residuals)
+        assert report.energy_gap == gap
+
+    @pytest.mark.parametrize("J", [100, 129, 513, 1100])
+    def test_dense_merges_equal_the_gathered_block_product(self, J):
+        rng = np.random.default_rng(J)
+        weights = temporal_weights(TemporalGrid.uniform(J, 1.0), 0.8)
+        values = rng.uniform(-1.0, 1.0, size=(J, 5))
+        merges = [(lo, mid, hi) for lo, mid, hi in solver._causal_blocks(0, J)
+                  if mid < hi and hi - lo <= fracops.DENSE_MERGE]
+        assert merges
+        for lo, mid, hi in merges:
+            strided, gathered = values.copy(), values.copy()
+            weights.history_block(strided, lo, mid, hi)
+            gathered[mid:hi] += weights.block(slice(mid, hi), slice(lo, mid)) @ values[lo:mid]
+            assert np.array_equal(strided, gathered)
+
+
 class TestUniformGridOnly:
     def test_solve_refuses_a_graded_grid_before_allocating(self):
         grid = TemporalGrid((np.arange(1001) / 1000) ** 2)
