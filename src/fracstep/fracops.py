@@ -11,7 +11,7 @@ only in the independent oracle (:mod:`fracstep.quadrature`).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,29 +39,39 @@ class PowerFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if not np.all(t > self.offset):
+        if not (t > self.offset).all():
             raise DomainError(f"evaluation points {t} must exceed the offset {self.offset}")
         return self.coefficient * np.power(t - self.offset, self.exponent)
 
 
 @dataclass(frozen=True)
 class TemporalGrid:
-    """Partition ``0 = t_0 < t_1 < ... < t_J = T`` of the time axis."""
+    """Partition ``0 = t_0 < t_1 < ... < t_J = T`` of the time axis.
+
+    The grid owns a read-only float copy of the nodes it is given, so the
+    caller's array stays writable and no later write to it reaches the grid.
+    Its steps ``tau_j = t_{j+1} - t_j`` are computed once, with the nodes,
+    and are read-only too.
+    """
 
     nodes: np.ndarray
+    tau: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise DomainError("grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise DomainError("grid must start at t_0 = 0")
-        if not np.all(np.diff(nodes) > 0.0):
+        tau = nodes[1:] - nodes[:-1]
+        if not (tau > 0.0).all():
             raise DomainError("grid nodes must be strictly increasing")
         if not math.isfinite(nodes[-1]):  # the nodes increase from 0: the last is the largest
             raise DomainError(f"grid nodes must be finite, got final time {nodes[-1]}")
         nodes.flags.writeable = False
+        tau.flags.writeable = False
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def uniform(cls, num_steps: int, final_time: float = 1.0) -> "TemporalGrid":
@@ -81,16 +91,11 @@ class TemporalGrid:
     def final_time(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def tau(self) -> np.ndarray:
-        """Interval lengths tau_j."""
-        return np.diff(self.nodes)
-
     def is_uniform(self) -> bool:
         """Equal steps up to node rounding, which moves a step by about an
         ulp of ``T`` whatever the step count; hence a tolerance in ``T``."""
         tau = self.tau
-        return bool(np.all(np.abs(tau - tau[0]) <= 1e-12 * self.final_time))
+        return bool((np.abs(tau - tau[0]) <= 1e-12 * self.final_time).all())
 
 
 def _ensure_order(gamma: float, lo, hi, what: str) -> float:

@@ -56,6 +56,47 @@ class TestTypes:
         with pytest.raises(DomainError):
             TemporalGrid(np.array([0.1, 0.5, 1.0]))
 
+    def test_grid_owns_its_nodes(self):
+        # the grid used to keep the caller's array: a later write moved its
+        # nodes unchecked, and a step turned negative
+        base = np.linspace(0.0, 1.0, 5)
+        grid = TemporalGrid(base[:])
+        base[2] = 0.9
+        assert np.array_equal(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(grid.tau, np.full(4, 0.25))
+
+    def test_grid_leaves_the_callers_array_writable(self):
+        # the grid used to freeze the caller's own array
+        nodes = np.linspace(0.0, 1.0, 5)
+        TemporalGrid(nodes)
+        nodes[1] = 0.3
+        assert nodes[1] == 0.3
+
+    def test_grid_keeps_its_steps(self):
+        rng = np.random.default_rng(35)
+        for nodes in (np.linspace(0.0, 2.0, 9), (np.arange(41) / 40) ** 2,
+                      np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, 300))])):
+            grid = TemporalGrid(nodes)
+            assert grid.tau.tobytes() == np.diff(grid.nodes).tobytes()
+            assert grid.tau is grid.tau
+            with pytest.raises(ValueError, match="read-only"):
+                grid.tau[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                grid.nodes[1] = 0.5
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([0.0, 0.5, 0.5, 1.0], "grid nodes must be strictly increasing"),
+        ([0.0, 0.6, 0.4, 1.0], "grid nodes must be strictly increasing"),
+        ([0.0, math.nan, 1.0], "grid nodes must be strictly increasing"),
+        ([0.0, 1.0, math.inf], "grid nodes must be finite, got final time inf"),
+        ([0.1, 0.5, 1.0], "grid must start at t_0 = 0"),
+        ([0.0], "grid needs at least two nodes"),
+    ])
+    def test_grid_refusals_keep_their_messages(self, nodes, message):
+        with pytest.raises(DomainError) as refused:
+            TemporalGrid(np.array(nodes))
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("last, match", [(math.inf, "finite"), (math.nan, "increasing")])
     def test_grid_rejects_a_non_finite_node(self, last, match):
         # [0, 1, inf] increases strictly and used to be accepted

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from fracstep import fracops, properties, quadrature
+from fracstep import fem1d, fracops, properties, quadrature
 from fracstep.fracops import TemporalGrid
 from fracstep.properties import run_property_suite
 
@@ -134,6 +134,41 @@ def test_two_sided_norm_closed_form_matches_quadrature(monkeypatch):
         worst = max(worst, abs(closed - oracle) / abs(oracle))
     print(f"largest relative difference {worst:.3e} over {len(cases)} draws")
     assert worst <= 1e-12
+
+
+def test_pair_indices_are_the_upper_triangle():
+    for size in range(1, 9):
+        pairs = properties._pair_indices(size)
+        for index, expected in zip(pairs, np.triu_indices(size, 1)):
+            assert index.dtype == expected.dtype
+            assert np.array_equal(index, expected)
+            assert not index.flags.writeable
+        assert properties._pair_indices(size) is pairs
+
+
+def _solve_march(grid, mesh, alpha, loads):
+    # the naive march with one dense solve per step, the reference for its inverses
+    weights = fracops.temporal_weights(grid, alpha).dense()
+    mass = fem1d.assemble_mass(mesh).to_dense()
+    stiffness = fem1d.assemble_stiffness(mesh).to_dense()
+    values = np.zeros_like(loads)
+    for k in range(grid.num_steps):
+        rhs = loads[k] - mass @ (weights[k, :k] @ values[:k])
+        values[k] = np.linalg.solve(weights[k, k] * mass + grid.tau[k] * stiffness, rhs)
+    return values
+
+
+@pytest.mark.parametrize("num_steps, num_cells, alpha", [
+    (65, 4, 0.01), (160, 4, 0.01), (65, 4, 0.99), (160, 4, 0.99), (16, 8, 0.5),
+])
+def test_naive_march_matches_per_step_solves(num_steps, num_cells, alpha):
+    grid = TemporalGrid.uniform(num_steps)
+    mesh = fem1d.Mesh1D(num_cells)
+    loads = np.random.default_rng(num_steps).uniform(-1.0, 1.0,
+                                                     size=(num_steps, mesh.n_interior))
+    naive = properties._naive_march(grid, mesh, alpha, loads)
+    reference = _solve_march(grid, mesh, alpha, loads)
+    assert np.max(np.abs(naive - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_toeplitz_reads_one_dense_block_per_alpha(monkeypatch):
