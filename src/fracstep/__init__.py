@@ -51,14 +51,8 @@ from .harness import (
     run_sweep,
     space_time_error,
 )
-from .properties import run_property_suite
+from .properties import energy_identity_gap, run_property_suite, scalar_solve
 from .quadrature import singular_integral
-from .solver import (
-    SolveReport,
-    SpaceTimeField,
-    energy_identity_gap,
-    scalar_solve,
-    solve,
-)
+from .solver import SolveReport, SpaceTimeField, solve
 
 __version__ = "0.1.0"

@@ -132,7 +132,7 @@ def power_time_factors(grid: TemporalGrid, exponent: float) -> np.ndarray:
     return np.diff(grid.nodes ** (exponent + 1.0)) / (exponent + 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Load:
     """A (J, N) load array as its terms ``(scale, J time factors, hat moments)``:
     the sum of ``scale * outer(factors, moments)`` in term order."""

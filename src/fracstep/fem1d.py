@@ -41,7 +41,7 @@ class Mesh1D:
         return np.arange(1, self.n_cells) * self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix stored as its (diag, off) bands.
 
@@ -87,7 +87,7 @@ class TridiagonalMatrix:
         return np.diag(self.diag) + np.diag(self.off, -1) + np.diag(self.off, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThomasFactor:
     """LAPACK ``L D L^T`` factors of a positive definite tridiagonal matrix.
 

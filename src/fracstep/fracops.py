@@ -44,7 +44,7 @@ class PowerFunction:
         return self.coefficient * np.power(t - self.offset, self.exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalGrid:
     """Partition ``0 = t_0 < t_1 < ... < t_J = T`` of the time axis.
 
@@ -55,7 +55,7 @@ class TemporalGrid:
     """
 
     nodes: np.ndarray
-    tau: np.ndarray = field(init=False, repr=False, compare=False)
+    tau: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -165,7 +165,7 @@ def _four_corner(grid: TemporalGrid, order: float) -> np.ndarray:
     return (p[1:, :-1] - p[:-1, :-1] - p[1:, 1:] + p[:-1, 1:]) / gamma_fn(2.0 - order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalWeightMatrix:
     """Causal Galerkin matrix of the left fractional derivative on a uniform grid.
 

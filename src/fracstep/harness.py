@@ -354,7 +354,7 @@ def expected_orders(alpha: float, beta: float, case: str) -> dict:
 # exact space-time error between nested discrete solutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMoments:
     """A fine field on a nested coarser time grid: block means and scatters.
 

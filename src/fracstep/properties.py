@@ -9,9 +9,11 @@ Two properties call the oracle.  The coercivity pairing integrates only
 bare Jacobi weights, which the oracle returns as scipy Beta values with no
 rule built.  The closed forms against the oracle need Gauss-Jacobi rules
 only for their smooth four-corner pieces.  The two-sided bound computes no
-rule: its norm has a closed form in scipy's ``hyp2f1``.  The naive march
-that the solver's fast history is checked against sums the full dense
-history and inverts each step matrix once, before it marches.
+rule: its norm has a closed form in scipy's ``hyp2f1``.  The suite holds
+the four march oracles that :func:`solver.solve` is checked against, each
+with the naive history sum: the scalar recursion, the energy identity
+recomputed from scratch, the naive march, which inverts each step matrix
+once before it marches, and the dense block solve.
 """
 
 import functools
@@ -23,7 +25,8 @@ import scipy.linalg
 from scipy.special import gamma as scipy_gamma, hyp2f1
 
 from . import assembly, fem1d, fracops, harness, solver
-from .fracops import PowerFunction, TemporalGrid
+from .errors import BUDGET, BudgetError, DomainError
+from .fracops import PowerFunction, TemporalGrid, TemporalWeightMatrix, temporal_weights
 from .gammafn import gamma_fn
 from .quadrature import fixed_order_integral, singular_integral
 
@@ -452,7 +455,7 @@ def prop_block_equivalence(rng) -> PropertyResult:
         spec = _experiment1(alpha)
         loads = assembly.assemble_load(spec, grid, mesh)
         marched, _ = solver.solve(spec, grid, mesh, loads=loads)
-        dense = solver.dense_block_solve(grid, mesh, alpha, loads)
+        dense = dense_block_solve(grid, mesh, alpha, loads)
         scale = float(np.max(np.abs(dense)))
         worst = max(worst, float(np.max(np.abs(marched.values - dense))) / scale)
     return _result("block-system-equivalence", worst, SOLVER_TOL)
@@ -474,6 +477,76 @@ def _naive_march(grid, mesh, alpha, loads) -> np.ndarray:
         rhs = loads[k] - mass @ (weights[k, :k] @ values[:k])
         values[k] = inverses[k] @ rhs
     return values
+
+
+def scalar_solve(alpha: float, lam: float, grid: TemporalGrid, y0: float,
+                 g_factors: np.ndarray | None = None) -> np.ndarray:
+    """Causal recursion for the scalar analogue with reaction rate ``lam``.
+
+    ``(G_kk + tau_k lam) y_k = y0 ifac_k + g_k - sum_{j<k} G_kj y_j`` where
+    ``ifac`` are the initial-value time factors and ``g_k`` the per-interval
+    source integrals.  ``lam = 0`` is admitted: the diagonal weight alone
+    keeps every step nonsingular.
+    """
+    if lam < 0.0:
+        raise DomainError(f"reaction rate must be nonnegative, got {lam}")
+    weights = temporal_weights(grid, alpha)
+    J = grid.num_steps
+    rhs = float(y0) * assembly.initial_time_factors(grid, alpha)
+    if g_factors is not None:
+        g_factors = np.asarray(g_factors, dtype=float)
+        if g_factors.shape != (J,):
+            raise DomainError("need one source factor per interval")
+        rhs = rhs + g_factors
+    tau = grid.tau
+    y = np.zeros(J)
+    for k in range(J):
+        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
+        y[k] = (rhs[k] - float(row[:k] @ y[:k])) / (row[k] + tau[k] * lam)
+    return y
+
+
+def energy_identity_gap(field: solver.SpaceTimeField, weights: TemporalWeightMatrix,
+                        loads: np.ndarray) -> float:
+    """Recompute the Galerkin energy identity from scratch.
+
+    Independent post-hoc evaluation of
+    ``sum_k U_k . (M sum_{j<=k} G_kj U_j + tau_k K U_k) = sum_k U_k . F_k``
+    as a relative gap; the solver's in-march accumulation must agree with it.
+    """
+    mass = fem1d.assemble_mass(field.mesh)
+    stiffness = fem1d.assemble_stiffness(field.mesh)
+    tau = field.grid.tau
+    values = field.values
+    lhs = 0.0
+    rhs = 0.0
+    for k in range(field.grid.num_steps):
+        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
+        action = mass.matvec(row @ values[:k + 1])
+        action += tau[k] * stiffness.matvec(values[k])
+        lhs += float(values[k] @ action)
+        rhs += float(values[k] @ loads[k])
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def dense_block_solve(grid: TemporalGrid, mesh: fem1d.Mesh1D, alpha: float,
+                      loads: np.ndarray) -> np.ndarray:
+    """Brute-force oracle: assemble and solve the full block system densely.
+
+    Builds the (JN) x (JN) lower-block-triangular matrix explicitly and calls
+    a dense solver; only sensible for small J and N.  More than ``BUDGET``
+    matrix entries raise :class:`BudgetError` before anything is allocated.
+    """
+    J, N = grid.num_steps, mesh.n_interior
+    if (J * N) ** 2 > BUDGET:
+        raise BudgetError(f"dense block system ({J} steps, {N} unknowns) exceeds "
+                          f"the budget of {BUDGET} matrix entries")
+    mass = fem1d.assemble_mass(mesh).to_dense()
+    stiffness = fem1d.assemble_stiffness(mesh).to_dense()
+    big = (np.kron(temporal_weights(grid, alpha).dense(), mass)
+           + np.kron(np.diag(grid.tau), stiffness))
+    flat = np.linalg.solve(big, loads.reshape(J * N))
+    return flat.reshape(J, N)
 
 
 def prop_fast_history(rng) -> PropertyResult:
@@ -511,7 +584,7 @@ def prop_spectral_decoupling(rng) -> PropertyResult:
     spec = assembly.spectral_test_problem(mode, alpha)
     field, _ = solver.solve(spec, grid, mesh)
     lam = assembly.spectral_eigenvalue(mesh, mode)
-    scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
+    scalars = scalar_solve(alpha, lam, grid, y0=1.0)
     predicted = np.outer(scalars, fem1d.sine_vector(mesh, mode))
     scale = float(np.max(np.abs(predicted)))
     err = float(np.max(np.abs(field.values - predicted))) / scale
@@ -537,7 +610,7 @@ def prop_energy_identity(rng) -> PropertyResult:
         loads = assembly.assemble_load(spec, grid, mesh)
         field, report = solver.solve(spec, grid, mesh, loads=loads)
         weights = fracops.temporal_weights(grid, alpha)
-        gap = solver.energy_identity_gap(field, weights, loads)
+        gap = energy_identity_gap(field, weights, loads)
         worst = max(worst, gap, report.energy_gap)
     return _result("galerkin-energy-identity", worst, SOLVER_TOL)
 
@@ -549,7 +622,7 @@ def prop_scalar_first_step(rng) -> PropertyResult:
         for num_steps in (4, 8):
             grid = TemporalGrid.uniform(num_steps, 1.0)
             tau = 1.0 / num_steps
-            y = solver.scalar_solve(alpha, 0.0, grid, y0=0.0,
+            y = scalar_solve(alpha, 0.0, grid, y0=0.0,
                                     g_factors=grid.tau.copy())
             expected = gamma_fn(2.0 - alpha) * tau ** alpha
             worst = max(worst, abs(y[0] - expected) / expected)

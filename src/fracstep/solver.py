@@ -27,9 +27,9 @@ history buffer, the right-hand side is subtracted into the row, and
 the uniform mesh the off-diagonal bands are constant, so the mass product
 and the step matrix's action each take one product for both bands.  The
 loop costs O(N J log^2 J) instead of the naive O(N J^2).  The naive sum
-stays in the oracles: :func:`scalar_solve` and :func:`energy_identity_gap`
-read one whole weight row ``G[k, :k+1]`` per step, and the property suite
-compares them and a naive dense march with this loop.
+lives only in the oracles that check this loop, all four in
+:mod:`fracstep.properties`: the scalar recursion, the energy identity, the
+naive march and the dense block solve.
 :meth:`TemporalWeightMatrix.history_dot` is kept only for the tests and the
 benchmark's tracer.
 
@@ -51,13 +51,13 @@ import numpy as np
 
 from . import assembly, fem1d
 from .errors import BUDGET, BudgetError, DomainError, SolverError
-from .fracops import TemporalGrid, TemporalWeightMatrix, temporal_weights
+from .fracops import TemporalGrid, temporal_weights
 
 RESIDUAL_TOL = 1e-12
 HISTORY_BLOCK = 64  # longest step range marched with the direct history sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """Discrete solution: one row of interior nodal values per time interval."""
 
@@ -76,7 +76,7 @@ class SpaceTimeField:
             raise DomainError("field values must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Diagnostics of one marched solve; one residual norm per step."""
 
@@ -214,73 +214,3 @@ def solve(spec: assembly.ProblemSpec, grid: TemporalGrid, mesh: fem1d.Mesh1D,
     report = SolveReport(residual_norms=residuals,
                          wall_time=time.perf_counter() - start, energy_gap=gap)
     return SpaceTimeField(grid, mesh, values), report
-
-
-def scalar_solve(alpha: float, lam: float, grid: TemporalGrid, y0: float,
-                 g_factors: np.ndarray | None = None) -> np.ndarray:
-    """Causal recursion for the scalar analogue with reaction rate ``lam``.
-
-    ``(G_kk + tau_k lam) y_k = y0 ifac_k + g_k - sum_{j<k} G_kj y_j`` where
-    ``ifac`` are the initial-value time factors and ``g_k`` the per-interval
-    source integrals.  ``lam = 0`` is admitted: the diagonal weight alone
-    keeps every step nonsingular.
-    """
-    if lam < 0.0:
-        raise DomainError(f"reaction rate must be nonnegative, got {lam}")
-    weights = temporal_weights(grid, alpha)
-    J = grid.num_steps
-    rhs = float(y0) * assembly.initial_time_factors(grid, alpha)
-    if g_factors is not None:
-        g_factors = np.asarray(g_factors, dtype=float)
-        if g_factors.shape != (J,):
-            raise DomainError("need one source factor per interval")
-        rhs = rhs + g_factors
-    tau = grid.tau
-    y = np.zeros(J)
-    for k in range(J):
-        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
-        y[k] = (rhs[k] - float(row[:k] @ y[:k])) / (row[k] + tau[k] * lam)
-    return y
-
-
-def energy_identity_gap(field: SpaceTimeField, weights: TemporalWeightMatrix,
-                        loads: np.ndarray) -> float:
-    """Recompute the Galerkin energy identity from scratch.
-
-    Independent post-hoc evaluation of
-    ``sum_k U_k . (M sum_{j<=k} G_kj U_j + tau_k K U_k) = sum_k U_k . F_k``
-    as a relative gap; the solver's in-march accumulation must agree with it.
-    """
-    mass = fem1d.assemble_mass(field.mesh)
-    stiffness = fem1d.assemble_stiffness(field.mesh)
-    tau = field.grid.tau
-    values = field.values
-    lhs = 0.0
-    rhs = 0.0
-    for k in range(field.grid.num_steps):
-        row = weights.block(slice(k, k + 1), slice(0, k + 1))[0]
-        action = mass.matvec(row @ values[:k + 1])
-        action += tau[k] * stiffness.matvec(values[k])
-        lhs += float(values[k] @ action)
-        rhs += float(values[k] @ loads[k])
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-
-
-def dense_block_solve(grid: TemporalGrid, mesh: fem1d.Mesh1D, alpha: float,
-                      loads: np.ndarray) -> np.ndarray:
-    """Brute-force oracle: assemble and solve the full block system densely.
-
-    Builds the (JN) x (JN) lower-block-triangular matrix explicitly and calls
-    a dense solver; only sensible for small J and N.  More than ``BUDGET``
-    matrix entries raise :class:`BudgetError` before anything is allocated.
-    """
-    J, N = grid.num_steps, mesh.n_interior
-    if (J * N) ** 2 > BUDGET:
-        raise BudgetError(f"dense block system ({J} steps, {N} unknowns) exceeds "
-                          f"the budget of {BUDGET} matrix entries")
-    mass = fem1d.assemble_mass(mesh).to_dense()
-    stiffness = fem1d.assemble_stiffness(mesh).to_dense()
-    big = (np.kron(temporal_weights(grid, alpha).dense(), mass)
-           + np.kron(np.diag(grid.tau), stiffness))
-    flat = np.linalg.solve(big, loads.reshape(J * N))
-    return flat.reshape(J, N)

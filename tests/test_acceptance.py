@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fracstep
-from fracstep import assembly, fem1d, harness, solver
+from fracstep import assembly, fem1d, harness, properties, solver
 from fracstep.fracops import TemporalGrid, temporal_weights
 from fracstep.properties import (
     prop_coercivity,
@@ -108,7 +108,7 @@ def test_criterion_2_block_system_equivalence():
         spec = harness.experiment_problem("experiment1", alpha, r=-0.8)
         loads = assembly.assemble_load(spec, grid, mesh)
         marched, _ = solver.solve(spec, grid, mesh, loads=loads)
-        dense = solver.dense_block_solve(grid, mesh, alpha, loads)
+        dense = properties.dense_block_solve(grid, mesh, alpha, loads)
         scale = float(np.max(np.abs(dense)))
         worst = max(worst, float(np.max(np.abs(marched.values - dense))) / scale)
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_3_spectral_decoupling():
     spec = assembly.spectral_test_problem(mode, alpha)
     field, _ = solver.solve(spec, grid, mesh)
     lam = assembly.spectral_eigenvalue(mesh, mode)
-    scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
+    scalars = properties.scalar_solve(alpha, lam, grid, y0=1.0)
     predicted = np.outer(scalars, fem1d.sine_vector(mesh, mode))
     scale = float(np.max(np.abs(predicted)))
     per_step = np.max(np.abs(field.values - predicted), axis=1) / scale
@@ -314,7 +314,7 @@ def test_criterion_8_energy_identity_everywhere(manufactured_tables,
         weights = temporal_weights(grid, alpha)
         gaps[f"recomputed-{tag}-a{alpha}"] = max(
             report.energy_gap,
-            solver.energy_identity_gap(field, weights, loads))
+            properties.energy_identity_gap(field, weights, loads))
 
     worst = max(gaps.values())
     assert worst <= 1e-10, gaps

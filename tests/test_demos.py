@@ -1,4 +1,5 @@
-"""Smoke test: the demos run to completion against the package in ``src``.
+"""Smoke test: the demos run to completion against the package in ``src``,
+with warnings turned into errors (``python -W error``).
 
 Demos 01-03 take about a second or two each.  Demo 04 is left out: it takes
 about 3 s, the acceptance sweeps already run the plans it prints, and the CI
@@ -20,6 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "03_manufactured_convergence.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

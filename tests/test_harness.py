@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep import fem1d, harness, solver
 from fracstep.errors import CHUNK, BudgetError, DomainError, NestingError, SolverError
 from fracstep.fracops import TemporalGrid
@@ -773,11 +775,20 @@ class TestCache:
         cold = _in_subprocess(os.path.dirname(package), *sweep)
         (entry,) = cache.iterdir()
         written = entry.stat().st_mtime_ns
-        for copy in ("moved", "edited"):
+        for copy in ("moved", "oracle", "edited"):
             shutil.copytree(package, tmp_path / copy / "fracstep",
                             ignore=shutil.ignore_patterns("__pycache__"))
         assert _in_subprocess(tmp_path / "moved", *sweep) == cold
         assert list(cache.iterdir()) == [entry]
+        assert entry.stat().st_mtime_ns == written
+        # the oracles' module is not part of the key: an edit there still hits
+        oracle_name = os.path.basename(inspect.getsourcefile(fracstep.scalar_solve))
+        oracle_source = tmp_path / "oracle" / "fracstep" / oracle_name
+        source = oracle_source.read_bytes()
+        assert source.startswith(b'"""') and source[3:4].isalpha()
+        oracle_source.write_bytes(b'"""' + source[3:4].swapcase() + source[4:])
+        assert _in_subprocess(tmp_path / "oracle", *sweep) == cold
+        assert list(cache.glob("ref_*.bin")) == [entry]
         assert entry.stat().st_mtime_ns == written
         solver_source = tmp_path / "edited" / "fracstep" / "solver.py"
         source = solver_source.read_bytes()

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracstep import assembly, fem1d, fracops, harness, solver
+from fracstep import assembly, fem1d, fracops, harness, properties, solver
 from fracstep.assembly import InitialData, ProblemSpec, SourceTerm
 from fracstep.errors import CHUNK, BudgetError, DomainError, SolverError
 from fracstep.fracops import TemporalGrid, temporal_weights
@@ -38,7 +38,7 @@ class TestSolve:
         spec = experiment1_spec(0.5)
         marched, _ = solver.solve(spec, grid, mesh)
         loads = assembly.assemble_load(spec, grid, mesh)
-        dense = solver.dense_block_solve(grid, mesh, 0.5, loads)
+        dense = properties.dense_block_solve(grid, mesh, 0.5, loads)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
@@ -146,7 +146,7 @@ class TestScalar:
 
         monkeypatch.setattr(fracops.TemporalWeightMatrix, "block", spy)
         grid = TemporalGrid.uniform(12, 1.0)
-        y = solver.scalar_solve(0.5, 2.0, grid, y0=1.0)
+        y = properties.scalar_solve(0.5, 2.0, grid, y0=1.0)
         assert calls == [(slice(k, k + 1), slice(0, k + 1)) for k in range(12)]
         monkeypatch.undo()
         dense = temporal_weights(grid, 0.5).dense()
@@ -156,21 +156,21 @@ class TestScalar:
 
     def test_zero_data(self):
         grid = TemporalGrid.uniform(8, 1.0)
-        y = solver.scalar_solve(0.5, 2.0, grid, y0=0.0)
+        y = properties.scalar_solve(0.5, 2.0, grid, y0=0.0)
         assert np.all(y == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_first_step_with_unit_source_no_reaction(self, alpha):
         grid = TemporalGrid.uniform(4, 1.0)
         tau = 0.25
-        y = solver.scalar_solve(alpha, 0.0, grid, y0=0.0, g_factors=grid.tau)
+        y = properties.scalar_solve(alpha, 0.0, grid, y0=0.0, g_factors=grid.tau)
         assert y[0] == pytest.approx(gamma_fn(2.0 - alpha) * tau ** alpha,
                                      rel=1e-13)
 
     def test_negative_reaction_rejected(self):
         grid = TemporalGrid.uniform(4, 1.0)
         with pytest.raises(DomainError):
-            solver.scalar_solve(0.5, -1.0, grid, y0=0.0)
+            properties.scalar_solve(0.5, -1.0, grid, y0=0.0)
 
 
 class TestSpectralDecoupling:
@@ -181,7 +181,7 @@ class TestSpectralDecoupling:
         spec = assembly.spectral_test_problem(mode, alpha)
         field, _ = solver.solve(spec, grid, mesh)
         lam = assembly.spectral_eigenvalue(mesh, mode)
-        scalars = solver.scalar_solve(alpha, lam, grid, y0=1.0)
+        scalars = properties.scalar_solve(alpha, lam, grid, y0=1.0)
         predicted = np.outer(scalars, fem1d.sine_vector(mesh, mode))
         scale = np.max(np.abs(predicted))
         assert np.max(np.abs(field.values - predicted)) / scale <= 1e-10
@@ -195,7 +195,7 @@ class TestSpectralDecoupling:
         alpha, mode = 0.7, 2
         field, _ = solver.solve(assembly.spectral_test_problem(mode, alpha), grid, mesh)
         lam = assembly.spectral_eigenvalue(mesh, mode)
-        predicted = np.outer(solver.scalar_solve(alpha, lam, grid, y0=1.0),
+        predicted = np.outer(properties.scalar_solve(alpha, lam, grid, y0=1.0),
                              fem1d.sine_vector(mesh, mode))
         scale = np.max(np.abs(predicted))
         assert np.max(np.abs(field.values - predicted)) / scale <= 1e-12
@@ -206,7 +206,7 @@ class TestSpectralDecoupling:
         spec = assembly.spectral_test_problem(3, 0.4)
         field, _ = solver.solve(spec, grid, mesh)
         lam = assembly.spectral_eigenvalue(mesh, 3)
-        predicted = np.outer(solver.scalar_solve(0.4, lam, grid, y0=1.0),
+        predicted = np.outer(properties.scalar_solve(0.4, lam, grid, y0=1.0),
                              fem1d.sine_vector(mesh, 3))
         assert np.max(np.abs(field.values - predicted)) <= 1e-10
 
@@ -218,7 +218,7 @@ class TestBlockEquivalence:
         mesh = fem1d.Mesh1D(8)
         loads = assembly.assemble_load(experiment1_spec(alpha), grid, mesh)
         marched, _ = solver.solve(experiment1_spec(alpha), grid, mesh, loads=loads)
-        dense = solver.dense_block_solve(grid, mesh, alpha, loads)
+        dense = properties.dense_block_solve(grid, mesh, alpha, loads)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
@@ -231,7 +231,7 @@ class TestBlockEquivalence:
         loads = rng.uniform(-1.0, 1.0, size=(129, 3))
         marched, _ = solver.solve(ProblemSpec(alpha=alpha), grid,
                                   mesh, loads=loads)
-        dense = solver.dense_block_solve(grid, mesh, alpha, loads)
+        dense = properties.dense_block_solve(grid, mesh, alpha, loads)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(marched.values - dense)) / scale <= 1e-10
 
@@ -241,7 +241,7 @@ class TestDenseBlockBudget:
         def no_weights(*args):
             raise AssertionError("weights built before the budget check")
 
-        monkeypatch.setattr(solver, "temporal_weights", no_weights)
+        monkeypatch.setattr(properties, "temporal_weights", no_weights)
         grid = TemporalGrid.uniform(4096, 1.0)
         mesh = fem1d.Mesh1D(8)
         loads = np.broadcast_to(0.0, (4096, 7))  # no memory of its own
@@ -249,7 +249,7 @@ class TestDenseBlockBudget:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="budget"):
-                solver.dense_block_solve(grid, mesh, 0.5, loads)
+                properties.dense_block_solve(grid, mesh, 0.5, loads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -265,7 +265,7 @@ class TestEnergyIdentity:
         loads = assembly.assemble_load(spec, grid, mesh)
         field, report = solver.solve(spec, grid, mesh, loads=loads)
         weights = temporal_weights(grid, alpha)
-        standalone = solver.energy_identity_gap(field, weights, loads)
+        standalone = properties.energy_identity_gap(field, weights, loads)
         assert report.energy_gap <= 1e-10
         assert standalone <= 1e-10
 
@@ -444,9 +444,9 @@ class TestUniformGridOnly:
     def test_oracles_refuse_a_graded_grid(self):
         grid = TemporalGrid((np.arange(9) / 8) ** 2)
         with pytest.raises(DomainError, match="uniform"):
-            solver.scalar_solve(0.5, 1.0, grid, y0=1.0)
+            properties.scalar_solve(0.5, 1.0, grid, y0=1.0)
         with pytest.raises(DomainError, match="uniform"):
-            solver.dense_block_solve(grid, fem1d.Mesh1D(4), 0.5, np.zeros((8, 3)))
+            properties.dense_block_solve(grid, fem1d.Mesh1D(4), 0.5, np.zeros((8, 3)))
 
     def test_one_factorisation_per_solve(self, monkeypatch):
         sizes = []
@@ -460,3 +460,28 @@ class TestUniformGridOnly:
         nx, grid = LEAF_GRIDS["uniform-64x1100"]
         solver.solve(experiment1_spec(0.5), grid, fem1d.Mesh1D(nx))
         assert sizes == [nx - 1]
+
+
+# one small instance of each frozen dataclass that holds an array
+_ARRAY_HOLDERS = {
+    "TemporalGrid": lambda: TemporalGrid.uniform(4),
+    "TemporalWeightMatrix": lambda: temporal_weights(TemporalGrid.uniform(4), 0.5),
+    "TridiagonalMatrix": lambda: fem1d.assemble_mass(fem1d.Mesh1D(4)),
+    "ThomasFactor": lambda: fem1d.assemble_mass(fem1d.Mesh1D(4)).factor(),
+    "SpaceTimeField": lambda: solver.SpaceTimeField(TemporalGrid.uniform(2), fem1d.Mesh1D(3),
+                                                    np.zeros((2, 2))),
+    "SolveReport": lambda: solver.SolveReport(np.zeros(2), 0.0, 0.0),
+    "BlockMoments": lambda: harness.BlockMoments.of_values(
+        TemporalGrid.uniform(2), fem1d.Mesh1D(3), np.zeros((2, 2))),
+    "Load": lambda: assembly.load_terms(experiment1_spec(0.5), TemporalGrid.uniform(2),
+                                        fem1d.Mesh1D(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    first, second = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(first).__name__ == name
+    assert (first == second) is False
+    assert first == first
+    assert hash(first) == hash(first)
