@@ -52,7 +52,7 @@ AXIS_TIME = "time"
 # experiment table: the one place an experiment is defined
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
     """One registered experiment.
 
@@ -270,6 +270,10 @@ class SweepPlan:
                 raise NestingError(
                     "reference must be strictly finer than every swept level "
                     "on the refined axis")
+
+    def __hash__(self):
+        return hash((self.experiment, self.alpha, self.axis, self.levels, self.reference,
+                     tuple(sorted(self.params.items()))))
 
 
 def is_power_of_two(n: int) -> bool:

@@ -5,15 +5,16 @@ fixed seed reproduces the identical report.  Closed-form identities are held
 to 1e-12 relative; comparisons against the quadrature oracle to 1e-9 (the
 oracle itself runs at 1e-10).  The oracle route never touches the package's
 gamma evaluation, which is what lets the suite detect a corrupted constant.
-Two properties call the oracle.  The coercivity pairing integrates only
-bare Jacobi weights, which the oracle returns as scipy Beta values with no
-rule built.  The closed forms against the oracle need Gauss-Jacobi rules
-only for their smooth four-corner pieces.  The two-sided bound computes no
-rule: its norm has a closed form in scipy's ``hyp2f1``.  The suite holds
-the four march oracles that :func:`solver.solve` is checked against, each
-with the naive history sum: the scalar recursion, the energy identity
-recomputed from scratch, the naive march, which inverts each step matrix
-once before it marches, and the dense block solve.
+Two properties call the oracle.  The coercivity pairing integrates only bare
+Jacobi weights, which the oracle returns as scipy Beta values with no rule
+built.  The closed forms against the oracle need Gauss-Jacobi rules only for
+their smooth four-corner pieces.  The two-sided bound computes no rule: its
+norm has a closed form in scipy's ``hyp2f1``.  The suite holds the four
+march oracles that :func:`solver.solve` is checked against, each with the
+naive history sum: the scalar recursion, the energy identity recomputed from
+scratch, the naive march, which inverts each step matrix once before it
+marches, and the dense block solve.  ``scipy.special`` is scipy's lazy
+submodule attribute: it loads at the first oracle call, not at import.
 """
 
 import functools
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gamma as scipy_gamma, hyp2f1
 
 from . import assembly, fem1d, fracops, harness, solver
 from .errors import BUDGET, BudgetError, DomainError
@@ -127,7 +127,7 @@ def prop_duality(rng) -> PropertyResult:
 def _pairing_by_quadrature(grid, values, gamma) -> float:
     """Left/right derivative pairing integrated by the oracle, term by term."""
     nodes = grid.nodes
-    norm = scipy_gamma(1.0 - gamma) ** 2
+    norm = scipy.special.gamma(1.0 - gamma) ** 2
     total = 0.0
     J = grid.num_steps
     for j in range(J):
@@ -185,12 +185,12 @@ def _pwc_integral_norm_sq(grid, values, gamma) -> float:
     left = grid.nodes[:-1]
     jumps = np.array(values, dtype=float)  # v_j - v_{j-1}, with v_{-1} = 0
     jumps[1:] -= values[:-1]
-    jumps /= scipy_gamma(1.0 + gamma)
+    jumps /= scipy.special.gamma(1.0 + gamma)
     length = grid.final_time - left
     i, j = _pair_indices(left.size)
     gap = left[j] - left[i]
     cross = (gap ** gamma * length[j] ** (gamma + 1.0) / (gamma + 1.0)
-             * hyp2f1(-gamma, gamma + 1.0, gamma + 2.0, -length[j] / gap))
+             * scipy.special.hyp2f1(-gamma, gamma + 1.0, gamma + 2.0, -length[j] / gap))
     return float(jumps ** 2 @ (length ** (2.0 * gamma + 1.0) / (2.0 * gamma + 1.0))
                  + 2.0 * (jumps[i] * jumps[j]) @ cross)
 
@@ -261,7 +261,7 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
         t = rng.uniform(0.3, 2.0)
         p = PowerFunction(1.0, sigma)
         closed = fracops.integral_power_function(p, gamma)(t)
-        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0) / scipy_gamma(gamma)
+        oracle = singular_integral(0.0, t, p=sigma, q=gamma - 1.0) / scipy.special.gamma(gamma)
         worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
 
         # derivative route: quadrature of the lifted integral, then numeric
@@ -275,7 +275,7 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
         # returns as a scipy Beta value, with no noise to difference
         def lifted(s, dsigma=dsigma, dgamma=dgamma):
             return (fixed_order_integral(0.0, s, p=dsigma, q=-dgamma)
-                    / scipy_gamma(1.0 - dgamma))
+                    / scipy.special.gamma(1.0 - dgamma))
 
         dclosed = fracops.derivative_power_function(PowerFunction(1.0, dsigma), dgamma)(dt)
         doracle = _numeric_derivative(lifted, dt)
@@ -297,7 +297,7 @@ def prop_closed_forms_vs_oracle(rng) -> PropertyResult:
                         piece = singular_integral(lo, nodes[k + 1],
                                                   smooth=lambda s, a=a: (s - a) ** -alpha)
                     pieces += sign * piece
-            oracle_entry = pieces / scipy_gamma(1.0 - alpha)
+            oracle_entry = pieces / scipy.special.gamma(1.0 - alpha)
             entry = fracops._four_corner(grid, alpha)[k, j]
             err = abs(entry - oracle_entry)
             worst = max(worst, err / max(abs(oracle_entry), 1e-300))

@@ -15,16 +15,16 @@ integrators return it directly and build no rule.  It is formed as
 (Golub and Welsch, Math. Comp. 23, 1969), so every rule of that weight gives
 it to rounding.
 
-This module is intentionally independent of :mod:`fracstep.gammafn`: nodes,
-weights and the Beta values come from scipy, giving the dual evaluation
-route the property checks rely on.
+Nodes, weights and Beta values come from ``scipy.special``, never from
+:mod:`fracstep.gammafn`: the second evaluation route the property checks
+rely on.  It is scipy's lazy submodule attribute, loaded at the first call.
 """
 
 import math
 import numbers
 
 import numpy as np
-from scipy.special import beta, betaln, roots_jacobi
+import scipy
 
 from .errors import DomainError, QuadratureError
 
@@ -71,15 +71,15 @@ def _weight_integral(a: float, b: float, p: float, q: float) -> float:
     and ``B`` would overflow and underflow.
     """
     if p + q <= 1000.0:
-        mu0 = 2.0 ** (p + q + 1.0) * float(beta(q + 1.0, p + 1.0))
+        mu0 = 2.0 ** (p + q + 1.0) * float(scipy.special.beta(q + 1.0, p + 1.0))
     else:
-        mu0 = float(np.exp((p + q + 1.0) * np.log(2.0) + betaln(q + 1.0, p + 1.0)))
+        mu0 = float(np.exp((p + q + 1.0) * np.log(2.0) + scipy.special.betaln(q + 1.0, p + 1.0)))
     return _finite(mu0, None, a, b, p, q)
 
 
 def _rule_estimate(a: float, b: float, p: float, q: float, smooth, n: int) -> float:
     """The order-``n`` rule's integral of ``(t-a)^p (b-t)^q smooth(t)``, finite."""
-    x, w = roots_jacobi(n, q, p)  # its weight is (1-x)^q (1+x)^p: t-a maps to (1+x)
+    x, w = scipy.special.roots_jacobi(n, q, p)  # weight (1-x)^q (1+x)^p: t-a maps to 1+x
     vals = w * np.asarray(smooth(0.5 * (a + b) + 0.5 * (b - a) * x), dtype=float)
     return _finite(float(np.sum(vals)), n, a, b, p, q)
 

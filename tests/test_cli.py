@@ -635,6 +635,36 @@ class TestVerify:
         assert "FAIL coercivity-pairing" in out
 
 
+# a fresh process imports what the benchmark imports, solves and sweeps
+# uncached, then runs the suite; it prints whether scipy.special was loaded
+# before and after the suite, and the suite's passes out of its properties
+_STARTUP = """
+import contextlib, io, sys
+import fracstep.cli
+from fracstep import harness, properties
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [fracstep.cli.main(["solve", "--experiment", "manufactured",
+                                "--alpha", "0.8", "--nx", "8", "--nt", "4"]),
+             fracstep.cli.main(["sweep", *sys.argv[1:]])]
+before = "scipy.special" in sys.modules
+results = properties.run_property_suite(properties.DEFAULT_SEED)
+print(codes, before, sum(r.passed for r in results), len(results),
+      "scipy.special" in sys.modules)
+"""
+
+
+def test_solve_and_sweep_leave_scipy_special_unloaded():
+    # scipy.special serves only the suite's oracles, which reach it through
+    # scipy's lazy submodule attribute at their first call
+    env = {key: value for key, value in os.environ.items()
+           if key != "FRACSTEP_CACHE_DIR"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _STARTUP, *TINY_SWEEP],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False", "20", "20", "True"]
+
+
 class TestArgparse:
     def test_unknown_flag_exits_config_code(self, capsys):
         assert main(["solve", "--bogus", "1"]) == 2

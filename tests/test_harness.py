@@ -381,6 +381,16 @@ class TestSweepPlan:
         assert table.rows[0]["E1"] == 0.0
         assert table.rows[0]["E2"] == 0.0
 
+    def test_plans_compare_by_value_and_hash(self):
+        # a plan holds its params as a dict, which the generated hash refused
+        first, second = (default_plan("experiment1", "time") for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        other = default_plan("experiment1", "time", params={"r": -0.8})
+        assert other != first
+        assert len({first, second, other, default_plan("experiment3", "time")}) == 3
+        # registry records hold builders and plan dicts: they hash by identity
+        assert len(set(EXPERIMENTS.values())) == len(EXPERIMENTS)
+
     def test_budget_enforced(self):
         # the reference has 2^25 space-time unknowns, over the solver's bound
         plan = SweepPlan(experiment="experiment3", alpha=0.8, axis="space",

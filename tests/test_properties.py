@@ -3,9 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import roots_jacobi
 
-from fracstep import fem1d, fracops, properties, quadrature
+from fracstep import fem1d, fracops, properties
 from fracstep.fracops import TemporalGrid
 from fracstep.properties import run_property_suite
 
@@ -62,7 +63,7 @@ def rule_spy(monkeypatch):
             return prop(rng)
         return run
 
-    monkeypatch.setattr(quadrature, "roots_jacobi", spy)
+    monkeypatch.setattr(scipy.special, "roots_jacobi", spy)
     monkeypatch.setattr(properties, "_SUITE",
                         tuple(labelled(prop) for prop in properties._SUITE))
     return computed
@@ -120,7 +121,7 @@ def _narrowest_gap_grids():
 def test_two_sided_norm_closed_form_matches_quadrature(monkeypatch):
     # the draws repeat their exponents, so one cache of rules spares most
     # rebuilds (about 0.2 s of 0.4 s)
-    monkeypatch.setattr(quadrature, "roots_jacobi",
+    monkeypatch.setattr(scipy.special, "roots_jacobi",
                         functools.lru_cache(maxsize=None)(roots_jacobi))
     rng = np.random.default_rng(2026)
     cases = [(grid, gamma) for grid in _narrowest_gap_grids() for gamma in (0.05, 0.45)]

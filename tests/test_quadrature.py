@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
+from scipy.special import roots_jacobi
 
 from fracstep import quadrature
 from fracstep.errors import DomainError, QuadratureError
@@ -50,7 +51,7 @@ def no_rules(monkeypatch):
     def refuse(n, alpha, beta):
         pytest.fail(f"rule ({n}, {alpha}, {beta}) built where none is needed")
 
-    monkeypatch.setattr(quadrature, "roots_jacobi", refuse)
+    monkeypatch.setattr(scipy.special, "roots_jacobi", refuse)
 
 
 def test_domain_errors(no_rules):
@@ -89,9 +90,9 @@ def test_non_finite_integrand_raises_at_the_first_order(bad, monkeypatch):
 
     def spy(n, alpha, beta):
         built.append(n)
-        return scipy.special.roots_jacobi(n, alpha, beta)
+        return roots_jacobi(n, alpha, beta)
 
-    monkeypatch.setattr(quadrature, "roots_jacobi", spy)
+    monkeypatch.setattr(scipy.special, "roots_jacobi", spy)
     with pytest.raises(QuadratureError, match="not finite"):
         singular_integral(0.0, 1.0, p=-0.5, smooth=lambda t: np.where(t > 0.5, bad, 1.0))
     assert built == [quadrature._MIN_ORDER]
@@ -133,7 +134,7 @@ def test_bare_weight_is_exact_at_every_order():
         a = rng.uniform(-2.0, 2.0)
         b = a + rng.uniform(0.1, 3.0)
         half = 0.5 * (b - a)
-        one, many = (half ** (p + q + 1.0) * scipy.special.roots_jacobi(n, q, p)[1].sum()
+        one, many = (half ** (p + q + 1.0) * roots_jacobi(n, q, p)[1].sum()
                      for n in (1, 200))
         assert one == pytest.approx(many, rel=1e-14)
         for func in (singular_integral, fixed_order_integral):
@@ -156,7 +157,7 @@ def test_bare_weight_builds_no_rule_and_matches_every_rule_sum(p, q, no_rules):
     values = [func(a, b, p=p, q=q) for func in (singular_integral, fixed_order_integral)]
     assert values[0] == values[1]
     for n in (1, 8, 16, 200):
-        rule_sum = half ** (p + q + 1.0) * scipy.special.roots_jacobi(n, q, p)[1].sum()
+        rule_sum = half ** (p + q + 1.0) * roots_jacobi(n, q, p)[1].sum()
         assert values[0] == pytest.approx(rule_sum, rel=1e-14), n
 
 
@@ -165,7 +166,7 @@ def test_bare_weight_beyond_the_beta_range(no_rules):
     # roots_jacobi, where 2^(p+q+1) and B(p+1, q+1) alone would not be finite
     p, q = 700.0, 400.5
     value = fixed_order_integral(-1.0, 1.0, p=p, q=q)
-    assert value == pytest.approx(scipy.special.roots_jacobi(4, q, p)[1].sum(), rel=1e-12)
+    assert value == pytest.approx(roots_jacobi(4, q, p)[1].sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("func", [singular_integral, fixed_order_integral])
